@@ -37,6 +37,59 @@ BM_EventQueueScheduleRun(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueScheduleRun);
 
+/** One hop of a continuation chain: its closure carries the rest. */
+void
+chainHop(EventQueue &eq, int left, Callback done)
+{
+    if (left == 0) {
+        done();
+        return;
+    }
+    eq.scheduleIn(Tick(1 + left % 3),
+                  [&eq, left, done = std::move(done)]() mutable {
+                      chainHop(eq, left - 1, std::move(done));
+                  });
+}
+
+// Memory-access continuation chains: every hop's closure captures the
+// next completion Callback by value, so it outgrows the inline buffer
+// and spills to the callback pool, as the simulator's deep chains do.
+void
+BM_EventQueueContinuationChain(benchmark::State &state)
+{
+    constexpr int kChains = 64;
+    constexpr int kDepth = 5;
+    EventQueue eq;
+    std::uint64_t sink = 0;
+    for (auto _ : state) {
+        for (int c = 0; c < kChains; ++c)
+            chainHop(eq, kDepth, [&sink] { ++sink; });
+        eq.run();
+    }
+    benchmark::DoNotOptimize(sink);
+    state.SetItemsProcessed(state.iterations() * kChains * kDepth);
+}
+BENCHMARK(BM_EventQueueContinuationChain);
+
+// A queue backlog: events land up to ~1000 ticks out, like requests
+// waiting on the IOMMU port, so the drain walks a wide window of
+// wheel cells with about one event each.
+void
+BM_EventQueueBacklog(benchmark::State &state)
+{
+    constexpr int kEvents = 1024;
+    EventQueue eq;
+    std::uint64_t sink = 0;
+    for (auto _ : state) {
+        for (int i = 0; i < kEvents; ++i)
+            eq.scheduleIn(Tick(i * 977 % 1000), [&sink] { ++sink; });
+        eq.run();
+    }
+    benchmark::DoNotOptimize(sink);
+    state.SetItemsProcessed(state.iterations() * kEvents);
+}
+BENCHMARK(BM_EventQueueBacklog);
+
 void
 BM_TlbLookupHit(benchmark::State &state)
 {

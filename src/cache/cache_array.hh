@@ -12,6 +12,7 @@
 #ifndef GVC_CACHE_CACHE_ARRAY_HH
 #define GVC_CACHE_CACHE_ARRAY_HH
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -20,6 +21,7 @@
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
+#include "sim/way_scan.hh"
 
 namespace gvc
 {
@@ -51,6 +53,16 @@ struct CacheLineInfo
  * The array.  Addresses are line-aligned by callers' convention but the
  * array aligns defensively.  ASID participates in tag match only (not in
  * indexing), which is what the paper's ASID-extended virtual tags do.
+ *
+ * Layout: the hot metadata a set scan reads is packed apart from the
+ * payload.  keys_ holds each way's line key (kNoKey when the way is
+ * invalid) and lru_ its recency stamp (0 when invalid), so a probe
+ * compares a set's keys as one contiguous stride and touches a line's
+ * payload (ASID, permissions, dirtiness, lifetime stamps) only on a key
+ * match.  The ASID cannot join the packed key: stash lines set address
+ * bit 63, so a key spans 57 bits and leaves too few for it.  With a
+ * power-of-two line size and set count, keys and set indices come from
+ * shifts and masks; other geometries divide.
  */
 class CacheArray
 {
@@ -66,8 +78,13 @@ class CacheArray
             assoc = unsigned(lines);
         num_sets_ = std::size_t(lines / assoc);
         assoc_ = unsigned(lines / num_sets_);
+        if (std::has_single_bit(params.line_bytes))
+            line_shift_ = std::countr_zero(params.line_bytes);
+        if (std::has_single_bit(num_sets_))
+            set_mask_ = num_sets_ - 1;
+        keys_.assign(num_sets_ * assoc_, kNoKey);
+        lru_.assign(num_sets_ * assoc_, 0);
         lines_.resize(num_sets_ * assoc_);
-        set_len_.assign(num_sets_, 0);
     }
 
     /**
@@ -81,16 +98,16 @@ class CacheArray
         ++accesses_;
         if (is_write)
             ++writes_;
-        Line *line = find(asid, lineKey(addr));
-        if (!line) {
+        const std::size_t w = findWay(asid, lineKey(addr));
+        if (w == kNoWay) {
             ++misses_;
             return false;
         }
         ++hits_;
-        line->last_used = now;
-        line->lru = ++lru_clock_;
+        lru_[w] = ++lru_clock_;
+        lines_[w].last_used = now;
         if (is_write && params_.write_back)
-            line->dirty = true;
+            lines_[w].dirty = true;
         return true;
     }
 
@@ -98,28 +115,17 @@ class CacheArray
     bool
     present(Asid asid, std::uint64_t addr) const
     {
-        const std::uint64_t key = lineKey(addr);
-        const std::size_t set = setIndex(key);
-        const Line *base = setBase(set);
-        for (unsigned i = 0; i < set_len_[set]; ++i)
-            if (base[i].valid && base[i].asid == asid &&
-                base[i].key == key)
-                return true;
-        return false;
+        return findWay(asid, lineKey(addr)) != kNoWay;
     }
 
     /** Permissions of a resident line (virtual caches check these). */
     std::optional<Perms>
     linePerms(Asid asid, std::uint64_t addr) const
     {
-        const std::uint64_t key = lineKey(addr);
-        const std::size_t set = setIndex(key);
-        const Line *base = setBase(set);
-        for (unsigned i = 0; i < set_len_[set]; ++i)
-            if (base[i].valid && base[i].asid == asid &&
-                base[i].key == key)
-                return base[i].perms;
-        return std::nullopt;
+        const std::size_t w = findWay(asid, lineKey(addr));
+        if (w == kNoWay)
+            return std::nullopt;
+        return lines_[w].perms;
     }
 
     /**
@@ -133,54 +139,29 @@ class CacheArray
     {
         ++fills_;
         const std::uint64_t key = lineKey(addr);
-        const std::size_t set = setIndex(key);
-        Line *base = setBase(set);
-        const unsigned len = set_len_[set];
-        // Single pass: the hit scan also notes the first invalid way so
-        // the miss path below needs no second walk.
-        unsigned free_way = len;
-        for (unsigned i = 0; i < len; ++i) {
-            Line &l = base[i];
-            if (!l.valid) {
-                if (free_way == len)
-                    free_way = i;
-                continue;
-            }
-            if (l.asid == asid && l.key == key) {
-                l.perms = perms;
-                l.dirty = l.dirty || dirty;
-                l.lru = ++lru_clock_;
-                l.last_used = now;
-                return std::nullopt;
-            }
-        }
-        Line fresh;
-        fresh.valid = true;
-        fresh.asid = asid;
-        fresh.key = key;
-        fresh.perms = perms;
-        fresh.dirty = dirty;
-        fresh.inserted = now;
-        fresh.last_used = now;
-        fresh.lru = ++lru_clock_;
-
-        // Reuse a way freed by invalidation before displacing anyone.
-        if (free_way < len) {
-            base[free_way] = fresh;
+        const std::size_t hit = findWay(asid, key);
+        if (hit != kNoWay) {
+            Line &l = lines_[hit];
+            l.perms = perms;
+            l.dirty = l.dirty || dirty;
+            lru_[hit] = ++lru_clock_;
+            l.last_used = now;
             return std::nullopt;
         }
-        if (len < assoc_) {
-            base[len] = fresh;
-            ++set_len_[set];
-            return std::nullopt;
+        // Reuse the first invalid way before displacing anyone.
+        const std::size_t base = setIndex(key) * assoc_;
+        std::optional<CacheLineInfo> evicted;
+        std::size_t w = base + findKey(keys_.data() + base, assoc_, kNoKey);
+        if (w == base + assoc_) {
+            // Set full: every way is valid, so the smallest stamp is
+            // the least recently used line.
+            w = base + oldestWay(lru_.data() + base, assoc_);
+            evicted = retire(w);
+            ++evictions_;
         }
-        unsigned victim = 0;
-        for (unsigned i = 1; i < len; ++i)
-            if (base[i].lru < base[victim].lru)
-                victim = i;
-        const auto evicted = retire(base[victim]);
-        base[victim] = fresh;
-        ++evictions_;
+        keys_[w] = key;
+        lru_[w] = ++lru_clock_;
+        lines_[w] = Line{asid, perms, dirty, now, now};
         return evicted;
     }
 
@@ -188,19 +169,10 @@ class CacheArray
     std::optional<CacheLineInfo>
     invalidateLine(Asid asid, std::uint64_t addr)
     {
-        const std::uint64_t key = lineKey(addr);
-        const std::size_t set = setIndex(key);
-        Line *base = setBase(set);
-        for (unsigned i = 0; i < set_len_[set]; ++i) {
-            Line &l = base[i];
-            if (l.valid && l.asid == asid && l.key == key) {
-                const auto info = retire(l);
-                l.valid = false;
-                ++invalidations_;
-                return info;
-            }
-        }
-        return std::nullopt;
+        const std::size_t w = findWay(asid, lineKey(addr));
+        if (w == kNoWay)
+            return std::nullopt;
+        return drop(w);
     }
 
     /**
@@ -237,19 +209,13 @@ class CacheArray
                        &on_evict = {})
     {
         unsigned count = 0;
-        for (std::size_t set = 0; set < num_sets_; ++set) {
-            Line *base = setBase(set);
-            for (unsigned i = 0; i < set_len_[set]; ++i) {
-                Line &l = base[i];
-                if (!l.valid || l.asid != asid)
-                    continue;
-                const auto info = retire(l);
-                l.valid = false;
-                ++invalidations_;
-                ++count;
-                if (on_evict && info)
-                    on_evict(*info);
-            }
+        for (std::size_t w = 0; w < keys_.size(); ++w) {
+            if (keys_[w] == kNoKey || lines_[w].asid != asid)
+                continue;
+            const auto info = drop(w);
+            ++count;
+            if (on_evict)
+                on_evict(info);
         }
         return count;
     }
@@ -259,19 +225,12 @@ class CacheArray
     invalidateAll(const std::function<void(const CacheLineInfo &)>
                       &on_evict = {})
     {
-        for (std::size_t set = 0; set < num_sets_; ++set) {
-            Line *base = setBase(set);
-            for (unsigned i = 0; i < set_len_[set]; ++i) {
-                Line &l = base[i];
-                if (!l.valid)
-                    continue;
-                const auto info = retire(l);
-                l.valid = false;
-                ++invalidations_;
-                if (on_evict && info)
-                    on_evict(*info);
-            }
-            set_len_[set] = 0;
+        for (std::size_t w = 0; w < keys_.size(); ++w) {
+            if (keys_[w] == kNoKey)
+                continue;
+            const auto info = drop(w);
+            if (on_evict)
+                on_evict(info);
         }
     }
 
@@ -279,15 +238,9 @@ class CacheArray
     void
     forEachLine(const std::function<void(const CacheLineInfo &)> &fn) const
     {
-        for (std::size_t set = 0; set < num_sets_; ++set) {
-            const Line *base = setBase(set);
-            for (unsigned i = 0; i < set_len_[set]; ++i) {
-                const Line &l = base[i];
-                if (l.valid)
-                    fn(CacheLineInfo{l.asid, unKey(l.key), l.perms,
-                                     l.dirty});
-            }
-        }
+        for (std::size_t w = 0; w < keys_.size(); ++w)
+            if (keys_[w] != kNoKey)
+                fn(info(w));
     }
 
     /** Record lifetimes of still-resident lines (simulation end). */
@@ -296,13 +249,45 @@ class CacheArray
     {
         if (!params_.track_lifetimes)
             return;
-        for (std::size_t set = 0; set < num_sets_; ++set) {
-            const Line *base = setBase(set);
-            for (unsigned i = 0; i < set_len_[set]; ++i)
-                if (base[i].valid && base[i].last_used > base[i].inserted)
-                    lifetimes_.record(base[i].last_used -
-                                      base[i].inserted);
+        for (std::size_t w = 0; w < keys_.size(); ++w) {
+            const Line &l = lines_[w];
+            if (keys_[w] != kNoKey && l.last_used > l.inserted)
+                lifetimes_.record(l.last_used - l.inserted);
         }
+    }
+
+    /**
+     * Check the packed key and recency arrays against each other and
+     * the payload: a way is invalid in both arrays or in neither, every
+     * resident key indexes the set holding it, no set holds one
+     * (ASID, line) twice, and resident recency stamps are distinct
+     * within a set and no newer than the clock.
+     */
+    bool
+    packedConsistent() const
+    {
+        for (std::size_t set = 0; set < num_sets_; ++set) {
+            const std::size_t base = set * assoc_;
+            for (unsigned i = 0; i < assoc_; ++i) {
+                const std::size_t w = base + i;
+                if ((keys_[w] == kNoKey) != (lru_[w] == 0))
+                    return false;
+                if (keys_[w] == kNoKey)
+                    continue;
+                if (setIndex(keys_[w]) != set || lru_[w] > lru_clock_)
+                    return false;
+                for (unsigned j = 0; j < i; ++j) {
+                    const std::size_t o = base + j;
+                    if (keys_[o] == kNoKey)
+                        continue;
+                    if (lru_[o] == lru_[w] ||
+                        (keys_[o] == keys_[w] &&
+                         lines_[o].asid == lines_[w].asid))
+                        return false;
+                }
+            }
+        }
+        return true;
     }
 
     std::uint64_t accesses() const { return accesses_.value; }
@@ -329,31 +314,33 @@ class CacheArray
     residentLines() const
     {
         std::size_t n = 0;
-        for (std::size_t set = 0; set < num_sets_; ++set) {
-            const Line *base = setBase(set);
-            for (unsigned i = 0; i < set_len_[set]; ++i)
-                n += base[i].valid ? 1 : 0;
-        }
+        for (const std::uint64_t key : keys_)
+            n += key != kNoKey ? 1 : 0;
         return n;
     }
 
   private:
+    /** Payload of a way; its key and recency live in keys_ / lru_. */
     struct Line
     {
-        bool valid = false;
         Asid asid = 0;
-        std::uint64_t key = 0; ///< addr >> line shift.
         Perms perms = kPermNone;
         bool dirty = false;
         Tick inserted = 0;
         Tick last_used = 0;
-        std::uint64_t lru = 0;
     };
+
+    /// Key of an invalid way.  Real keys are addresses shifted right by
+    /// the line size, so they never reach it.
+    static constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
+    static constexpr std::size_t kNoWay = ~std::size_t{0};
+    static constexpr int kNoShift = -1;
 
     std::uint64_t
     lineKey(std::uint64_t addr) const
     {
-        return addr / params_.line_bytes;
+        return line_shift_ != kNoShift ? addr >> line_shift_
+                                       : addr / params_.line_bytes;
     }
 
     std::uint64_t
@@ -362,45 +349,66 @@ class CacheArray
         return key * params_.line_bytes;
     }
 
-    std::size_t setIndex(std::uint64_t key) const { return key % num_sets_; }
-
-    Line *setBase(std::size_t set) { return lines_.data() + set * assoc_; }
-    const Line *
-    setBase(std::size_t set) const
+    std::size_t
+    setIndex(std::uint64_t key) const
     {
-        return lines_.data() + set * assoc_;
+        return set_mask_ != kNoWay ? std::size_t(key & set_mask_)
+                                   : std::size_t(key % num_sets_);
     }
 
-    Line *
-    find(Asid asid, std::uint64_t key)
+    /** Flat way index holding (asid, key), or kNoWay. */
+    std::size_t
+    findWay(Asid asid, std::uint64_t key) const
     {
-        const std::size_t set = setIndex(key);
-        Line *base = setBase(set);
-        for (unsigned i = 0; i < set_len_[set]; ++i)
-            if (base[i].valid && base[i].asid == asid &&
-                base[i].key == key)
-                return &base[i];
-        return nullptr;
+        const std::size_t base = setIndex(key) * assoc_;
+        const std::uint64_t *keys = keys_.data() + base;
+        // A key can repeat in a set under different ASIDs.
+        for (std::size_t i = findKey(keys, assoc_, key); i < assoc_;
+             i += 1 + findKey(keys + i + 1, assoc_ - i - 1, key)) {
+            if (lines_[base + i].asid == asid)
+                return base + i;
+        }
+        return kNoWay;
+    }
+
+    CacheLineInfo
+    info(std::size_t w) const
+    {
+        const Line &l = lines_[w];
+        return CacheLineInfo{l.asid, unKey(keys_[w]), l.perms, l.dirty};
     }
 
     /** Common retirement bookkeeping; returns the line's metadata. */
-    std::optional<CacheLineInfo>
-    retire(const Line &l)
+    CacheLineInfo
+    retire(std::size_t w)
     {
+        const Line &l = lines_[w];
         if (params_.track_lifetimes && l.last_used > l.inserted)
             lifetimes_.record(l.last_used - l.inserted);
-        return CacheLineInfo{l.asid, unKey(l.key), l.perms, l.dirty};
+        return info(w);
+    }
+
+    /** Retire and invalidate resident way @p w. */
+    CacheLineInfo
+    drop(std::size_t w)
+    {
+        const auto dropped = retire(w);
+        keys_[w] = kNoKey;
+        lru_[w] = 0;
+        ++invalidations_;
+        return dropped;
     }
 
     CacheParams params_;
     std::size_t num_sets_ = 1;
     unsigned assoc_ = 1;
-    /// Flat num_sets x assoc way storage: one contiguous block instead
-    /// of a heap vector per set, so a set scan is a single cache-friendly
-    /// stride.  set_len_ mirrors the old per-set vector's growth: ways
-    /// [0, set_len_) have been populated at least once.
+    int line_shift_ = kNoShift;    ///< log2(line_bytes) when a power of two.
+    std::size_t set_mask_ = kNoWay; ///< num_sets_ - 1 when a power of two.
+    /// Flat num_sets x assoc arrays, set-major: the packed keys and
+    /// recency stamps a scan reads, and the payload it rarely touches.
+    std::vector<std::uint64_t> keys_;
+    std::vector<std::uint64_t> lru_;
     std::vector<Line> lines_;
-    std::vector<std::uint16_t> set_len_;
     std::uint64_t lru_clock_ = 0;
 
     Counter accesses_;

@@ -118,16 +118,23 @@ class SmallFunc<R(Args...), Inline>
                   std::is_invocable_r_v<R, D &, Args...>>>
     SmallFunc(F &&f)
     {
-        if constexpr (fitsInline<D>()) {
-            ::new (static_cast<void *>(storage_.buf))
-                D(std::forward<F>(f));
-            ops_ = &OpsFor<D, true>::ops;
-        } else {
-            void *p = detail::CallbackPool::alloc(sizeof(D));
-            ::new (p) D(std::forward<F>(f));
-            storage_.ptr = p;
-            ops_ = &OpsFor<D, false>::ops;
-        }
+        construct<D>(std::forward<F>(f));
+    }
+
+    /**
+     * Replace the held callable by one constructed in place from @p f,
+     * so a caller that owns the final storage (an event-queue slot)
+     * pays no temporary SmallFunc and no relocation.
+     */
+    template <typename F, typename D = std::decay_t<F>,
+              typename = std::enable_if_t<
+                  !std::is_same_v<D, SmallFunc> &&
+                  std::is_invocable_r_v<R, D &, Args...>>>
+    void
+    emplace(F &&f)
+    {
+        reset();
+        construct<D>(std::forward<F>(f));
     }
 
     SmallFunc(SmallFunc &&o) noexcept { moveFrom(o); }
@@ -241,6 +248,23 @@ class SmallFunc<R(Args...), Inline>
                                  kByteReloc ? nullptr : &relocate,
                                  kNoDestroy ? nullptr : &destroy};
     };
+
+    /** Build @p f into empty storage; ops_ is set only on success. */
+    template <typename D, typename F>
+    void
+    construct(F &&f)
+    {
+        if constexpr (fitsInline<D>()) {
+            ::new (static_cast<void *>(storage_.buf))
+                D(std::forward<F>(f));
+            ops_ = &OpsFor<D, true>::ops;
+        } else {
+            void *p = detail::CallbackPool::alloc(sizeof(D));
+            ::new (p) D(std::forward<F>(f));
+            storage_.ptr = p;
+            ops_ = &OpsFor<D, false>::ops;
+        }
+    }
 
     void
     moveFrom(SmallFunc &o) noexcept

@@ -15,14 +15,26 @@
  * drain loop are O(1) appends and pops instead of binary-heap sifts.
  * Events beyond the horizon (page-fault service, deep DRAM backlog)
  * go to a small overflow heap and migrate into the wheel when their
- * tick enters the window.  Callbacks live in a slot pool recycled
- * through a free list; wheel cells and heap entries hold indices, so
- * no container operation moves a callback object.
+ * tick enters the window.
+ *
+ * Storage: callbacks live in slots of a chunked store.  Chunks are
+ * fixed-size and never move, so a slot's address is stable while its
+ * callback runs, even when that callback schedules more events and the
+ * store grows.  Each slot carries one link index.  A pending slot's
+ * link threads its wheel cell's FIFO list (a cell is a head and a tail
+ * index, nothing more); a free slot's link threads the free list.
+ * schedule() constructs the closure directly in its slot, and the
+ * overflow heap holds slot indices, so no container operation moves a
+ * callback object.
  *
  * Order equivalence with a (tick, insertion-seq) priority queue:
- *  - A cell's append order is global insertion order for that tick:
+ *  - A cell's list order is global insertion order for that tick:
  *    time only advances, so all appends to tick T's cell happen in
- *    execution order, which is insertion order.
+ *    execution order, which is insertion order.  An append always goes
+ *    to the tail and the drain always pops the head, so the list is
+ *    FIFO; an event scheduled for the running tick by the running
+ *    callback goes behind every entry already queued for that tick,
+ *    and runs in this same drain.
  *  - Overflow entries for tick T were necessarily scheduled while T was
  *    outside the window (at some now0 <= T - kWheelSize), i.e. before
  *    any direct append to T (which requires now > T - kWheelSize).
@@ -30,15 +42,20 @@
  *    first advances past T - kWheelSize, which precedes execution of
  *    any event that could append to T directly.  Hence migrated
  *    entries land ahead of all direct appends, completing the order.
+ *  - Slot reuse cannot reorder anything: a slot joins the free list
+ *    only after its callback has returned, and list order depends on
+ *    link order alone, never on slot indices.
  */
 
 #ifndef GVC_SIM_EVENT_QUEUE_HH
 #define GVC_SIM_EVENT_QUEUE_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <queue>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -69,28 +86,37 @@ class EventQueue
     std::uint64_t executed() const { return executed_; }
 
     /**
-     * Schedule @p cb to run at absolute tick @p when.
-     * Scheduling in the past is a simulator bug.
+     * Schedule @p fn to run at absolute tick @p when.  A closure is
+     * constructed directly in its slot; a Callback rvalue is moved in
+     * as is.  Scheduling in the past is a simulator bug.
      */
+    template <typename F>
     void
-    schedule(Tick when, Callback cb)
+    schedule(Tick when, F &&fn)
     {
         if (when < now_)
             panic("EventQueue: scheduling event in the past");
-        const std::uint32_t slot = allocSlot(std::move(cb));
-        if (when - now_ < kWheelSize) {
-            wheel_[std::size_t(when & kWheelMask)].push_back(slot);
-            ++wheel_count_;
+        const std::uint32_t idx = allocSlot();
+        Callback &cb = callbackAt(idx);
+        if constexpr (std::is_same_v<std::remove_cvref_t<F>, Callback>) {
+            static_assert(!std::is_lvalue_reference_v<F>,
+                          "EventQueue: move a Callback into the queue");
+            cb = std::move(fn);
         } else {
-            overflow_.push(FarEntry{when, next_seq_++, slot});
+            cb.emplace(std::forward<F>(fn));
         }
+        if (when - now_ < kWheelSize)
+            append(when, idx);
+        else
+            overflow_.push(FarEntry{when, next_seq_++, idx});
     }
 
-    /** Schedule @p cb to run @p delay ticks from now. */
+    /** Schedule @p fn to run @p delay ticks from now. */
+    template <typename F>
     void
-    scheduleIn(Tick delay, Callback cb)
+    scheduleIn(Tick delay, F &&fn)
     {
-        schedule(now_ + delay, std::move(cb));
+        schedule(now_ + delay, std::forward<F>(fn));
     }
 
     /**
@@ -127,13 +153,12 @@ class EventQueue
     void
     reset()
     {
-        for (auto &cell : wheel_)
-            cell.clear();
+        wheel_.fill(Cell{});
         wheel_count_ = 0;
-        cur_head_ = 0;
         overflow_ = {};
-        slots_.clear();
-        free_slots_.clear();
+        chunks_.clear();
+        used_slots_ = 0;
+        free_head_ = kNil;
         now_ = 0;
         next_seq_ = 0;
         executed_ = 0;
@@ -146,6 +171,29 @@ class EventQueue
     static constexpr unsigned kWheelBits = 12;
     static constexpr Tick kWheelSize = Tick{1} << kWheelBits;
     static constexpr Tick kWheelMask = kWheelSize - 1;
+
+    /// Slots per chunk of the slot store.
+    static constexpr unsigned kChunkBits = 10;
+    static constexpr std::uint32_t kChunkSlots = std::uint32_t{1}
+                                                 << kChunkBits;
+    static constexpr std::uint32_t kChunkMask = kChunkSlots - 1;
+
+    /// End of a cell list or of the free list.
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+    struct Chunk
+    {
+        std::array<Callback, kChunkSlots> cb;
+        /// Link of each slot: next in its cell list, or in the free list.
+        std::array<std::uint32_t, kChunkSlots> next;
+    };
+
+    /// One wheel tick: a FIFO list of slots, kNil-terminated.
+    struct Cell
+    {
+        std::uint32_t head = kNil;
+        std::uint32_t tail = kNil;
+    };
 
     struct FarEntry
     {
@@ -160,17 +208,44 @@ class EventQueue
         }
     };
 
-    std::uint32_t
-    allocSlot(Callback cb)
+    Callback &
+    callbackAt(std::uint32_t idx)
     {
-        if (free_slots_.empty()) {
-            slots_.push_back(std::move(cb));
-            return std::uint32_t(slots_.size() - 1);
+        return chunks_[idx >> kChunkBits]->cb[idx & kChunkMask];
+    }
+
+    std::uint32_t &
+    linkAt(std::uint32_t idx)
+    {
+        return chunks_[idx >> kChunkBits]->next[idx & kChunkMask];
+    }
+
+    /** An empty slot: recycled from the free list, else fresh. */
+    std::uint32_t
+    allocSlot()
+    {
+        if (free_head_ != kNil) {
+            const std::uint32_t idx = free_head_;
+            free_head_ = linkAt(idx);
+            return idx;
         }
-        const std::uint32_t slot = free_slots_.back();
-        free_slots_.pop_back();
-        slots_[slot] = std::move(cb);
-        return slot;
+        if ((used_slots_ & kChunkMask) == 0)
+            chunks_.push_back(std::make_unique<Chunk>());
+        return used_slots_++;
+    }
+
+    /** Link slot @p idx at the tail of tick @p when's cell. */
+    void
+    append(Tick when, std::uint32_t idx)
+    {
+        linkAt(idx) = kNil;
+        Cell &c = wheel_[std::size_t(when & kWheelMask)];
+        if (c.tail == kNil)
+            c.head = idx;
+        else
+            linkAt(c.tail) = idx;
+        c.tail = idx;
+        ++wheel_count_;
     }
 
     /** Pull every far event whose tick has entered the wheel window. */
@@ -181,9 +256,14 @@ class EventQueue
                overflow_.top().when - now_ < kWheelSize) {
             const FarEntry e = overflow_.top();
             overflow_.pop();
-            wheel_[std::size_t(e.when & kWheelMask)].push_back(e.slot);
-            ++wheel_count_;
+            append(e.when, e.slot);
         }
+    }
+
+    bool
+    cellPending(Tick t) const
+    {
+        return wheel_[std::size_t(t & kWheelMask)].head != kNil;
     }
 
     /**
@@ -193,17 +273,8 @@ class EventQueue
     bool
     advance(Tick limit)
     {
-        {
-            auto &cur = wheel_[std::size_t(now_ & kWheelMask)];
-            if (cur_head_ < cur.size())
-                return true;
-            if (cur_head_) {
-                // Tick fully drained; free the cell before its index is
-                // reused for now_ + kWheelSize.
-                cur.clear();
-                cur_head_ = 0;
-            }
-        }
+        if (cellPending(now_))
+            return true;
         while (true) {
             if (wheel_count_ == 0) {
                 if (overflow_.empty() || overflow_.top().when > limit)
@@ -215,37 +286,40 @@ class EventQueue
                 ++now_;
             }
             migrate();
-            if (!wheel_[std::size_t(now_ & kWheelMask)].empty())
+            if (cellPending(now_))
                 return true;
         }
     }
 
-    /** Pop and run the next entry of the current tick's cell. */
+    /** Pop and run the head of the current tick's cell. */
     void
     execOne()
     {
-        auto &cur = wheel_[std::size_t(now_ & kWheelMask)];
-        const std::uint32_t slot = cur[cur_head_++];
+        Cell &c = wheel_[std::size_t(now_ & kWheelMask)];
+        const std::uint32_t idx = c.head;
+        c.head = linkAt(idx);
+        if (c.head == kNil)
+            c.tail = kNil;
         --wheel_count_;
         ++executed_;
-        // Invoke in place: slots_ is a deque, so references stay valid
-        // when the callback schedules further events (which may append
-        // new slots).  The slot is recycled only after the call, so no
-        // new event can overwrite the running callback.
-        Callback &cb = slots_[slot];
+        // Invoke in place: chunks never move, so the reference stays
+        // valid when the callback schedules further events.  The slot
+        // is recycled only after the call, so no new event can
+        // overwrite the running callback.
+        Callback &cb = callbackAt(idx);
         cb();
         cb = nullptr;
-        free_slots_.push_back(slot);
+        linkAt(idx) = free_head_;
+        free_head_ = idx;
     }
 
-    std::vector<std::vector<std::uint32_t>> wheel_{
-        std::size_t(kWheelSize)};
-    std::size_t cur_head_ = 0;      ///< Drain index into now_'s cell.
+    std::array<Cell, std::size_t(kWheelSize)> wheel_;
     std::uint64_t wheel_count_ = 0; ///< Pending entries across all cells.
     std::priority_queue<FarEntry, std::vector<FarEntry>, std::greater<>>
         overflow_;
-    std::deque<Callback> slots_;
-    std::vector<std::uint32_t> free_slots_;
+    std::vector<std::unique_ptr<Chunk>> chunks_;
+    std::uint32_t used_slots_ = 0; ///< Slots ever handed out.
+    std::uint32_t free_head_ = kNil;
     Tick now_ = 0;
     std::uint64_t next_seq_ = 0;
     std::uint64_t executed_ = 0;

@@ -10,6 +10,7 @@
 #define GVC_SIM_STATS_HH
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -329,12 +330,16 @@ class StatRegistry
         return std::nan("");
     }
 
+    /**
+     * Print every stat as "name = value", one a line.  Integral values
+     * print as exact integers and all others in the shortest form that
+     * reads back to the same double, so no digits are lost.
+     */
     void
     dump(std::ostream &os) const
     {
-        for (const auto &[n, fn] : entries_) {
-            os << n << " = " << fn() << '\n';
-        }
+        for (const auto &[n, fn] : entries_)
+            os << n << " = " << formatValue(fn()) << '\n';
     }
 
     /**
@@ -355,6 +360,20 @@ class StatRegistry
     std::size_t size() const { return entries_.size(); }
 
   private:
+    /** One stat value as dump() prints it. */
+    static std::string
+    formatValue(double v)
+    {
+        // 2^63: the integral doubles below it convert to int64 exactly.
+        constexpr double kInt64Limit = 9223372036854775808.0;
+        if (std::isfinite(v) && v == std::trunc(v) &&
+            std::fabs(v) < kInt64Limit)
+            return std::to_string(static_cast<long long>(v));
+        char buf[32];
+        const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+        return std::string(buf, res.ptr);
+    }
+
     std::vector<std::pair<std::string, std::function<double()>>> entries_;
 };
 

@@ -23,6 +23,7 @@
 #define GVC_TLB_TLB_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -34,6 +35,7 @@
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
+#include "sim/way_scan.hh"
 #include "tlb/dead_pred.hh"
 
 namespace gvc
@@ -276,6 +278,12 @@ struct TlbRefHist
  * common simplification which only affects capacity pressure, not
  * correctness); with reach enabled a 2 MB mapping occupies one reach-9
  * entry.
+ *
+ * Layout: a probe compares one packed 64-bit tag per way,
+ * reach | asid | base VPN, kept per set apart from the payload, and LRU
+ * stamps sit in a parallel array; the payload is read only on a hit or
+ * an eviction.  Base VPNs wider than kTagVpnBits panic.  A power-of-two
+ * set count indexes by mask, any other by modulo.
  */
 class Tlb
 {
@@ -288,6 +296,9 @@ class Tlb
      * those translations die for a reason.
      */
     using EvictHookFn = SmallFunc<void(Asid, Vpn, Ppn, Perms)>;
+
+    /// Widest base VPN the packed tag encodes (a 56-bit virtual space).
+    static constexpr unsigned kTagVpnBits = 44;
 
     explicit Tlb(const TlbParams &params)
         : params_(params)
@@ -306,9 +317,13 @@ class Tlb
         if (num_sets_ == 0)
             num_sets_ = 1;
         assoc_ = params_.entries / num_sets_;
-        sets_.resize(num_sets_);
-        for (auto &set : sets_)
-            set.reserve(assoc_);
+        if (std::has_single_bit(num_sets_))
+            set_mask_ = num_sets_ - 1;
+        const std::size_t ways = std::size_t(num_sets_) * assoc_;
+        tags_.assign(ways, kNoTag);
+        lru_.assign(ways, 0);
+        entries_.resize(ways);
+        set_len_.assign(num_sets_, 0);
     }
 
     /** Look up (asid, vpn); updates recency on hit. */
@@ -338,40 +353,37 @@ class Tlb
             }
             return it->second.xlate;
         }
-        if (memo_way_ != kNoMemo && memo_asid_ == asid &&
+        checkVpn(vpn);
+        if (memo_way_ != kNoWay && memo_asid_ == asid &&
             memo_vpn_ == vpn) {
             // Position-validated: the memo only short-circuits the scan
             // when the remembered slot still holds an entry covering
             // this exact key, so a reshuffled set silently falls back
             // to the full scan.
-            auto &set = sets_[memo_set_];
-            if (memo_way_ < set.size()) {
-                auto &e = set[memo_way_];
-                if (e.asid == asid &&
-                    e.vpn == reachBase(vpn, e.reach) &&
-                    memo_set_ == setIndex(e.vpn, e.reach)) {
-                    return hitEntry(e, vpn, now);
-                }
+            if (memo_way_ < set_len_[memo_set_]) {
+                const std::size_t w = memo_set_ * assoc_ + memo_way_;
+                const unsigned r = unsigned(tags_[w] >> kTagReachShift);
+                const Vpn base = reachBase(vpn, r);
+                if (tags_[w] == packTag(r, asid, base) &&
+                    memo_set_ == setIndex(base, r))
+                    return hitEntry(w, vpn, now);
             }
-            memo_way_ = kNoMemo;
+            memo_way_ = kNoWay;
         }
         for (unsigned r = 0; r <= kMaxReachLog2; ++r) {
             if (!class_count_[r])
                 continue;
             const Vpn base = reachBase(vpn, r);
             const std::size_t si = setIndex(base, r);
-            auto &set = sets_[si];
-            for (std::size_t i = 0; i < set.size(); ++i) {
-                auto &e = set[i];
-                if (e.reach == r && e.asid == asid && e.vpn == base) {
-                    if (params_.memo) {
-                        memo_set_ = si;
-                        memo_way_ = i;
-                        memo_asid_ = asid;
-                        memo_vpn_ = vpn;
-                    }
-                    return hitEntry(e, vpn, now);
+            const std::size_t i = findInSet(si, packTag(r, asid, base));
+            if (i != kNoWay) {
+                if (params_.memo) {
+                    memo_set_ = si;
+                    memo_way_ = i;
+                    memo_asid_ = asid;
+                    memo_vpn_ = vpn;
                 }
+                return hitEntry(si * assoc_ + i, vpn, now);
             }
         }
         ++misses_;
@@ -382,7 +394,7 @@ class Tlb
     void
     clearMemo()
     {
-        memo_way_ = kNoMemo;
+        memo_way_ = kNoWay;
         memo_inf_ = nullptr;
     }
 
@@ -392,14 +404,14 @@ class Tlb
     {
         if (params_.infinite)
             return inf_.count(key(asid, vpn)) != 0;
+        checkVpn(vpn);
         for (unsigned r = 0; r <= kMaxReachLog2; ++r) {
             if (!class_count_[r])
                 continue;
             const Vpn base = reachBase(vpn, r);
-            const auto &set = sets_[setIndex(base, r)];
-            for (const auto &e : set)
-                if (e.reach == r && e.asid == asid && e.vpn == base)
-                    return true;
+            if (findInSet(setIndex(base, r), packTag(r, asid, base)) !=
+                kNoWay)
+                return true;
         }
         return false;
     }
@@ -472,20 +484,18 @@ class Tlb
             inf_.erase(it);
             return true;
         }
+        checkVpn(vpn);
         bool any = false;
         for (unsigned r = 0; r <= kMaxReachLog2; ++r) {
             if (!class_count_[r])
                 continue;
             const Vpn base = reachBase(vpn, r);
-            auto &set = sets_[setIndex(base, r)];
-            for (std::size_t i = 0; i < set.size(); ++i) {
-                if (set[i].reach == r && set[i].asid == asid &&
-                    set[i].vpn == base) {
-                    retire(set[i], now);
-                    set.erase(set.begin() + long(i));
-                    any = true;
-                    break;
-                }
+            const std::size_t si = setIndex(base, r);
+            const std::size_t i = findInSet(si, packTag(r, asid, base));
+            if (i != kNoWay) {
+                retire(entries_[si * assoc_ + i], now);
+                eraseWay(si, i);
+                any = true;
             }
         }
         return any;
@@ -507,11 +517,12 @@ class Tlb
             }
             return;
         }
-        for (auto &set : sets_) {
-            for (std::size_t i = set.size(); i-- > 0;) {
-                if (set[i].asid == asid) {
-                    retire(set[i], now);
-                    set.erase(set.begin() + long(i));
+        for (std::size_t si = 0; si < set_len_.size(); ++si) {
+            for (std::size_t i = set_len_[si]; i-- > 0;) {
+                const Entry &e = entries_[si * assoc_ + i];
+                if (e.asid == asid) {
+                    retire(e, now);
+                    eraseWay(si, i);
                 }
             }
         }
@@ -525,10 +536,14 @@ class Tlb
         for (const auto &[k, e] : inf_)
             ref_hist_.record(e.refs);
         inf_.clear();
-        for (auto &set : sets_) {
-            for (auto &e : set)
-                retire(e, now);
-            set.clear();
+        for (std::size_t si = 0; si < set_len_.size(); ++si) {
+            const std::size_t b = si * assoc_;
+            for (std::size_t i = 0; i < set_len_[si]; ++i) {
+                retire(entries_[b + i], now);
+                tags_[b + i] = kNoTag;
+                lru_[b + i] = 0;
+            }
+            set_len_[si] = 0;
         }
     }
 
@@ -589,15 +604,57 @@ class Tlb
         refs_flushed_ = true;
         for (const auto &[k, e] : inf_)
             ref_hist_.record(e.refs);
-        for (const auto &set : sets_)
-            for (const auto &e : set)
-                ref_hist_.record(e.refs);
+        for (std::size_t si = 0; si < set_len_.size(); ++si)
+            for (std::size_t i = 0; i < set_len_[si]; ++i)
+                ref_hist_.record(entries_[si * assoc_ + i].refs);
+    }
+
+    /**
+     * Check the packed tag and recency arrays against the payload: each
+     * live way's tag encodes its entry's (reach, asid, base VPN), the
+     * base is reach-aligned and indexes the set holding it, tags are
+     * distinct within a set, recency stamps are distinct, nonzero and
+     * no newer than the clock, ways past a set's length hold the empty
+     * tag and stamp, and the per-reach class counts match.
+     */
+    bool
+    packedConsistent() const
+    {
+        std::array<std::uint32_t, kMaxReachLog2 + 1> count{};
+        for (std::size_t si = 0; si < set_len_.size(); ++si) {
+            const std::size_t b = si * assoc_;
+            for (std::size_t i = 0; i < assoc_; ++i) {
+                const std::size_t w = b + i;
+                if (i >= set_len_[si]) {
+                    if (tags_[w] != kNoTag || lru_[w] != 0)
+                        return false;
+                    continue;
+                }
+                const Entry &e = entries_[w];
+                if (e.reach > kMaxReachLog2 ||
+                    tags_[w] != packTag(e.reach, e.asid, e.vpn) ||
+                    e.vpn != reachBase(e.vpn, e.reach) ||
+                    setIndex(e.vpn, e.reach) != si || lru_[w] == 0 ||
+                    lru_[w] > lru_clock_)
+                    return false;
+                for (std::size_t j = 0; j < i; ++j)
+                    if (tags_[b + j] == tags_[w] || lru_[b + j] == lru_[w])
+                        return false;
+                ++count[e.reach];
+            }
+        }
+        return count == class_count_;
     }
 
     unsigned numSets() const { return num_sets_; }
     unsigned assoc() const { return assoc_; }
 
   private:
+    /**
+     * Payload of a way.  Its packed tag and recency stamp live in
+     * tags_ / lru_; asid, vpn and reach repeat the tag's fields for
+     * the retirement, predictor and eviction-hook paths.
+     */
     struct Entry
     {
         Asid asid;
@@ -608,10 +665,9 @@ class Tlb
         std::uint8_t reach; ///< log2 pages spanned.
         Tick inserted;
         Tick last_used;
-        std::uint64_t lru;
         /// Hits after insertion this residency.
         std::uint32_t refs;
-        /// RRIP re-reference prediction value (makeEntry() sets it
+        /// RRIP re-reference prediction value (placeEntry() sets it
         /// per the replacement policy).
         std::uint8_t rrpv;
         /// Installed despite a dead prediction (a DeadPredictor
@@ -626,6 +682,29 @@ class Tlb
         std::uint32_t refs = 0;
     };
 
+    /// Packed tag: reach [63:60] | asid [59:44] | base VPN [43:0].
+    static constexpr unsigned kTagAsidShift = kTagVpnBits;
+    static constexpr unsigned kTagReachShift = kTagAsidShift + 16;
+    static_assert(sizeof(Asid) * 8 == 16, "packed tag holds a 16-bit ASID");
+    static_assert(kMaxReachLog2 < 15, "packed tag reserves reach 15");
+    /// Tag of an empty way: reach 15 is never a real entry's.
+    static constexpr std::uint64_t kNoTag = ~std::uint64_t{0};
+
+    static std::uint64_t
+    packTag(unsigned r, Asid asid, Vpn base)
+    {
+        return (std::uint64_t(r) << kTagReachShift) |
+               (std::uint64_t(asid) << kTagAsidShift) | base;
+    }
+
+    /** Panic on a VPN too wide for the packed tag. */
+    static void
+    checkVpn(Vpn vpn)
+    {
+        if (vpn >> kTagVpnBits)
+            panic("Tlb: VPN wider than the packed tag's 44 bits");
+    }
+
     static std::uint64_t
     key(Asid asid, Vpn vpn)
     {
@@ -636,17 +715,43 @@ class Tlb
     std::size_t
     setIndex(Vpn base, unsigned r) const
     {
-        return (base >> r) % num_sets_;
+        return set_mask_ != kNoWay ? std::size_t((base >> r) & set_mask_)
+                                    : std::size_t((base >> r) % num_sets_);
+    }
+
+    /** Index within set @p si of the way tagged @p tag, or kNoWay. */
+    std::size_t
+    findInSet(std::size_t si, std::uint64_t tag) const
+    {
+        const std::size_t len = set_len_[si];
+        const std::size_t i = findKey(tags_.data() + si * assoc_, len, tag);
+        return i < len ? i : kNoWay;
+    }
+
+    /** Remove way @p i of set @p si, closing the gap in order. */
+    void
+    eraseWay(std::size_t si, std::size_t i)
+    {
+        const std::size_t b = si * assoc_;
+        const std::size_t last = b + --set_len_[si];
+        for (std::size_t w = b + i; w < last; ++w) {
+            tags_[w] = tags_[w + 1];
+            lru_[w] = lru_[w + 1];
+            entries_[w] = entries_[w + 1];
+        }
+        tags_[last] = kNoTag;
+        lru_[last] = 0;
     }
 
     TlbLookup
-    hitEntry(Entry &e, Vpn vpn, Tick now)
+    hitEntry(std::size_t w, Vpn vpn, Tick now)
     {
+        Entry &e = entries_[w];
         ++hits_;
         if (e.reach > 0)
             ++reach_hits_;
         e.last_used = now;
-        e.lru = ++lru_clock_;
+        lru_[w] = ++lru_clock_;
         e.rrpv = 0;
         ++e.refs;
         return TlbLookup{e.ppn + (vpn - e.vpn), e.perms, e.large,
@@ -685,15 +790,18 @@ class Tlb
     }
 
     /**
-     * Victim way of a full set.  Under the trained fill policy a
-     * predicted-dead zero-reference reach-0 resident goes first; the
-     * replacement policy (true LRU or RRIP aging) breaks the fallback.
+     * Victim way (index within full set @p si).  Under the trained
+     * fill policy a predicted-dead zero-reference reach-0 resident goes
+     * first; the replacement policy (true LRU or RRIP aging) breaks
+     * the fallback.
      */
     std::size_t
-    pickVictim(std::vector<Entry> &set)
+    pickVictim(std::size_t si)
     {
+        Entry *set = entries_.data() + si * assoc_;
+        const std::size_t len = set_len_[si];
         if (params_.fill_policy == kTlbFillBypassTrained) {
-            for (std::size_t i = 0; i < set.size(); ++i) {
+            for (std::size_t i = 0; i < len; ++i) {
                 const Entry &e = set[i];
                 if (e.reach == 0 && e.refs == 0 &&
                     dead_pred_.predictDead(e.asid, e.vpn)) {
@@ -702,60 +810,59 @@ class Tlb
                 }
             }
         }
-        if (params_.replacement == kTlbReplLru) {
-            std::size_t victim = 0;
-            for (std::size_t i = 1; i < set.size(); ++i)
-                if (set[i].lru < set[victim].lru)
-                    victim = i;
-            return victim;
-        }
+        if (params_.replacement == kTlbReplLru)
+            return oldestWay(lru_.data() + si * assoc_, len);
         for (;;) {
-            for (std::size_t i = 0; i < set.size(); ++i)
+            for (std::size_t i = 0; i < len; ++i)
                 if (set[i].rrpv >= kRrpvMax)
                     return i;
-            for (auto &e : set)
-                ++e.rrpv;
+            for (std::size_t i = 0; i < len; ++i)
+                ++set[i].rrpv;
         }
     }
 
-    Entry
-    makeEntry(Asid asid, Vpn base, Ppn ppn, Perms perms, bool large,
-              unsigned r, Tick now, std::size_t si, bool sampled)
+    /** Fill way @p w of set @p si with a fresh entry. */
+    void
+    placeEntry(std::size_t w, Asid asid, Vpn base, Ppn ppn, Perms perms,
+               bool large, unsigned r, Tick now, std::size_t si,
+               bool sampled)
     {
-        Entry e{asid, base,        ppn, perms, large, std::uint8_t(r),
-                now,  now, ++lru_clock_, 0,    0,     false};
-        e.rrpv = params_.replacement == kTlbReplLru ? 0 : insertRrpv(si);
-        e.sampled = sampled;
-        return e;
+        tags_[w] = packTag(r, asid, base);
+        lru_[w] = ++lru_clock_;
+        entries_[w] = Entry{asid, base, ppn,  perms, large, std::uint8_t(r),
+                            now,  now,  0,    0,     sampled};
+        entries_[w].rrpv =
+            params_.replacement == kTlbReplLru ? 0 : insertRrpv(si);
     }
 
     void
     installEntry(Asid asid, Vpn base, Ppn ppn, Perms perms, bool large,
                  unsigned r, Tick now, bool sampled = false)
     {
+        checkVpn(base);
         const std::size_t si = setIndex(base, r);
-        auto &set = sets_[si];
-        for (auto &e : set) {
-            if (e.reach == r && e.asid == asid && e.vpn == base) {
-                e.ppn = ppn;
-                e.perms = perms;
-                e.large = large;
-                e.lru = ++lru_clock_;
-                e.rrpv = 0;
-                return;
-            }
+        const std::size_t b = si * assoc_;
+        const std::size_t i = findInSet(si, packTag(r, asid, base));
+        if (i != kNoWay) {
+            Entry &e = entries_[b + i];
+            e.ppn = ppn;
+            e.perms = perms;
+            e.large = large;
+            lru_[b + i] = ++lru_clock_;
+            e.rrpv = 0;
+            return;
         }
-        if (set.size() < assoc_) {
-            set.push_back(makeEntry(asid, base, ppn, perms, large, r,
-                                    now, si, sampled));
+        if (set_len_[si] < assoc_) {
+            placeEntry(b + set_len_[si]++, asid, base, ppn, perms, large,
+                       r, now, si, sampled);
             ++class_count_[r];
             return;
         }
-        const std::size_t victim = pickVictim(set);
-        const Entry dying = set[victim];
+        const std::size_t victim = b + pickVictim(si);
+        const Entry dying = entries_[victim];
         retire(dying, now);
-        set[victim] =
-            makeEntry(asid, base, ppn, perms, large, r, now, si, sampled);
+        placeEntry(victim, asid, base, ppn, perms, large, r, now, si,
+                   sampled);
         ++class_count_[r];
         if (evict_hook_ && dying.reach == 0)
             evict_hook_(dying.asid, dying.vpn, dying.ppn, dying.perms);
@@ -765,26 +872,23 @@ class Tlb
     std::optional<Entry>
     findEntry(Asid asid, Vpn base, unsigned r) const
     {
-        const auto &set = sets_[setIndex(base, r)];
-        for (const auto &e : set)
-            if (e.reach == r && e.asid == asid && e.vpn == base)
-                return e;
-        return std::nullopt;
+        const std::size_t si = setIndex(base, r);
+        const std::size_t i = findInSet(si, packTag(r, asid, base));
+        if (i == kNoWay)
+            return std::nullopt;
+        return entries_[si * assoc_ + i];
     }
 
     /** Remove a specific entry (merge bookkeeping, not a shootdown). */
     void
     removeEntry(Asid asid, Vpn base, unsigned r, Tick now)
     {
-        auto &set = sets_[setIndex(base, r)];
-        for (std::size_t i = 0; i < set.size(); ++i) {
-            if (set[i].reach == r && set[i].asid == asid &&
-                set[i].vpn == base) {
-                retire(set[i], now);
-                set.erase(set.begin() + long(i));
-                return;
-            }
-        }
+        const std::size_t si = setIndex(base, r);
+        const std::size_t i = findInSet(si, packTag(r, asid, base));
+        if (i == kNoWay)
+            return;
+        retire(entries_[si * assoc_ + i], now);
+        eraseWay(si, i);
     }
 
     /**
@@ -847,15 +951,23 @@ class Tlb
     TlbParams params_;
     unsigned num_sets_ = 1;
     unsigned assoc_ = 1;
-    std::vector<std::vector<Entry>> sets_;
+    static constexpr std::size_t kNoWay = std::size_t(-1);
+    /// num_sets_ - 1 when a power of two (index by mask), else kNoWay.
+    std::size_t set_mask_ = kNoWay;
+    /// Flat num_sets x assoc arrays, set-major.  A set's live ways are
+    /// its first set_len_ slots, in insertion order (victim scans and
+    /// RRIP aging depend on it); the rest hold kNoTag and stamp 0.
+    std::vector<std::uint64_t> tags_;
+    std::vector<std::uint64_t> lru_;
+    std::vector<Entry> entries_;
+    std::vector<std::uint32_t> set_len_;
     std::unordered_map<std::uint64_t, InfEntry> inf_;
     std::uint64_t lru_clock_ = 0;
     /** Live entries per reach class; gates the per-class lookup probes. */
     std::array<std::uint32_t, kMaxReachLog2 + 1> class_count_{};
 
-    static constexpr std::size_t kNoMemo = std::size_t(-1);
     std::size_t memo_set_ = 0;
-    std::size_t memo_way_ = kNoMemo;
+    std::size_t memo_way_ = kNoWay; ///< Index within memo_set_.
     InfEntry *memo_inf_ = nullptr;
     Asid memo_asid_ = 0;
     Vpn memo_vpn_ = 0;

@@ -193,5 +193,49 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(64u, 16u),
                       std::make_tuple(16u, 1u)));
 
+// The packed key and recency arrays must track the payload through
+// fills, evictions, and every invalidation path, on a power-of-two and
+// a 12-set geometry.
+class CachePackedKeys : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(CachePackedKeys, MatchPayloadAfterEveryOperation)
+{
+    CacheParams p;
+    p.size_bytes = GetParam() * 1024ull;
+    p.assoc = 4;
+    p.write_back = true;
+    CacheArray c(p);
+    Rng rng(GetParam());
+    for (int i = 0; i < 6000; ++i) {
+        const Asid asid = Asid(rng.below(3));
+        const std::uint64_t addr = rng.below(4096) * kLineSize;
+        const auto op = rng.below(40);
+        if (op < 14) {
+            c.access(asid, addr, rng.chance(0.3), Tick(i));
+        } else if (op < 34) {
+            c.insert(asid, addr, kPermRead, rng.chance(0.2), Tick(i));
+        } else if (op < 36) {
+            c.invalidateLine(asid, addr);
+        } else if (op < 38) {
+            c.invalidatePage(asid, pageBase(pageOf(addr)));
+        } else if (op == 38) {
+            c.invalidateAsid(asid);
+        } else if (rng.chance(0.1)) {
+            c.invalidateAll();
+        }
+        ASSERT_TRUE(c.packedConsistent()) << "step " << i << " op " << op;
+        std::size_t visited = 0;
+        c.forEachLine([&](const CacheLineInfo &) { ++visited; });
+        ASSERT_EQ(visited, c.residentLines()) << "step " << i;
+    }
+    EXPECT_GT(c.evictions(), 0u);
+    EXPECT_GT(c.invalidations(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Geometries, CachePackedKeys,
+                         ::testing::Values(8u, 6u)); // 16 and 12 sets
+
 } // namespace
 } // namespace gvc

@@ -42,6 +42,7 @@
 #include "sim/sim_context.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
+#include "sim/way_scan.hh"
 #include "tlb/iommu.hh"
 #include "tlb/ptw.hh"
 #include "tlb/pwc.hh"

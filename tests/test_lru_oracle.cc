@@ -141,7 +141,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_tuple(4u, 2u, 1ull),
                       std::make_tuple(8u, 4u, 2ull),
                       std::make_tuple(32u, 8u, 3ull),
-                      std::make_tuple(16u, 16u, 4ull)));
+                      std::make_tuple(16u, 16u, 4ull),
+                      // 6 KB / 128 B lines / 4 ways = 12 sets: the
+                      // modulo index path, not the mask.
+                      std::make_tuple(6u, 4u, 5ull)));
 
 class TlbOracle
     : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>>
@@ -183,7 +186,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_tuple(32u, 0u),
                       std::make_tuple(32u, 4u),
                       std::make_tuple(128u, 8u),
-                      std::make_tuple(64u, 2u)));
+                      std::make_tuple(64u, 2u),
+                      // 12 sets: the modulo index path, not the mask.
+                      std::make_tuple(48u, 4u)));
 
 } // namespace
 } // namespace gvc

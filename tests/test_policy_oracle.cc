@@ -532,6 +532,73 @@ INSTANTIATE_TEST_SUITE_P(
                           kTlbFillBypassTrained),
         ::testing::Bool()));
 
+// 48 entries x 4 ways = 12 sets: every policy on a set count that is
+// not a power of two, so the Tlb indexes by modulo instead of a mask
+// (DRRIP still has both leader sets).
+INSTANTIATE_TEST_SUITE_P(
+    NonPow2Sets, TlbPolicyOracle,
+    ::testing::Combine(
+        ::testing::Values(48u), ::testing::Values(4u),
+        ::testing::Values(kTlbReplLru, kTlbReplSrrip, kTlbReplBrrip,
+                          kTlbReplDrrip),
+        ::testing::Values(kTlbFillLru, kTlbFillBypassDead,
+                          kTlbFillBypassTrained),
+        ::testing::Bool()));
+
+// The packed tag and recency arrays must track the payload through
+// every mutation path: fills (trained bypass, sampled installs and
+// dead-first evictions), buddy merges, page and ASID shootdowns, and
+// full flushes.  Geometries: power-of-two sets, 12 sets, fully
+// associative.
+class TlbPackedTags
+    : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>>
+{
+};
+
+TEST_P(TlbPackedTags, MatchPayloadAfterEveryOperation)
+{
+    const auto [entries, assoc] = GetParam();
+    for (unsigned repl : {kTlbReplLru, kTlbReplSrrip}) {
+        TlbParams p{entries, assoc, false, true};
+        p.replacement = repl;
+        p.fill_policy = kTlbFillBypassTrained;
+        p.max_reach = 3;
+        p.merge_on_insert = true;
+        Tlb tlb(p);
+        Rng rng(entries * 17 + assoc + repl);
+        for (int step = 0; step < 6000; ++step) {
+            const Asid asid = Asid(1 + rng.below(3));
+            const Vpn vpn = rng.below(512);
+            const auto op = rng.below(40);
+            if (op < 14) {
+                tlb.lookup(asid, vpn, Tick(step));
+            } else if (op < 34) {
+                tlb.insert(asid, vpn,
+                           TlbLookup{ppnOf(vpn), permsOf(vpn & ~Vpn{7}),
+                                     false},
+                           Tick(step));
+            } else if (op < 38) {
+                tlb.invalidatePage(asid, vpn, Tick(step));
+            } else if (op == 38) {
+                tlb.invalidateAsid(asid, Tick(step));
+            } else if (rng.chance(0.1)) {
+                tlb.invalidateAll(Tick(step));
+            }
+            ASSERT_TRUE(tlb.packedConsistent())
+                << "step " << step << " op " << op;
+        }
+        // The program must have reached the paths it claims to cover.
+        EXPECT_GT(tlb.merges(), 0u);
+        EXPECT_GT(tlb.fillBypasses(), 0u);
+        EXPECT_GT(tlb.predTruePos() + tlb.predFalsePos(), 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Geometries, TlbPackedTags,
+                         ::testing::Values(std::make_tuple(64u, 4u),
+                                           std::make_tuple(48u, 4u),
+                                           std::make_tuple(32u, 0u)));
+
 // A fully-associative geometry (assoc = 0 selects it) stepped through
 // the trained predictor: one set means dead-first victim selection and
 // RRIP aging act on the whole array.

@@ -6,6 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <map>
+#include <sstream>
+#include <string>
 
 #include "sim/stats.hh"
 
@@ -136,6 +140,35 @@ TEST(StatRegistry, LookupAndDump)
     EXPECT_DOUBLE_EQ(reg.lookup("bar.ratio"), 0.5);
     EXPECT_TRUE(std::isnan(reg.lookup("missing")));
     EXPECT_EQ(reg.size(), 2u);
+}
+
+TEST(StatRegistry, DumpPrintsIntegersExactlyAndFractionsRoundTrip)
+{
+    StatRegistry reg;
+    Counter walks;
+    walks += 212570123;
+    reg.addCounter("iommu.walks", &walks);
+    reg.addScalar("iommu.serialization_cycles",
+                  [] { return 212570000.0; });
+    reg.addScalar("big", [] { return 9007199254740993.0; });
+    reg.addScalar("neg", [] { return -42.0; });
+    reg.addScalar("third", [] { return 1.0 / 3.0; });
+    reg.addScalar("tiny", [] { return 1.5e-7; });
+    std::ostringstream os;
+    reg.dump(os);
+
+    std::istringstream in(os.str());
+    std::map<std::string, std::string> printed;
+    std::string name, eq, value;
+    while (in >> name >> eq >> value)
+        printed[name] = value;
+    ASSERT_EQ(printed.size(), reg.size());
+    EXPECT_EQ(printed["iommu.walks"], "212570123");
+    EXPECT_EQ(printed["iommu.serialization_cycles"], "212570000");
+    EXPECT_EQ(printed["big"], "9007199254740992"); // nearest double
+    EXPECT_EQ(printed["neg"], "-42");
+    EXPECT_EQ(std::strtod(printed["third"].c_str(), nullptr), 1.0 / 3.0);
+    EXPECT_EQ(std::strtod(printed["tiny"].c_str(), nullptr), 1.5e-7);
 }
 
 TEST(LifetimeRecorder, RecordsDurations)
