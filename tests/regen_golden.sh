@@ -3,6 +3,7 @@
 # build, in one step so they can never diverge silently:
 #
 #   - tests/golden_stats.txt      (golden-stats regression matrix)
+#   - tests/designs_golden.txt    (per-design exports and --stats names)
 #   - tests/POLICY_SMOKE_*.json   (TLB policy-axis sweep goldens)
 #   - BENCH_PR<N>.json            (bench counter baseline gated in CI)
 #
@@ -13,7 +14,7 @@
 #
 # The bench regeneration runs the full matrix at scale 1 and takes a
 # few minutes; pass GVC_REGEN_SKIP_BENCH=1 to regenerate only the
-# golden stats.
+# golden stats, the per-design goldens and the policy goldens.
 set -e
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -27,8 +28,9 @@ if [ ! -x "$tests_bin" ]; then
     exit 1
 fi
 
-GVC_REGEN_GOLDEN=1 "$tests_bin" --gtest_filter='GoldenStats.*'
-echo "regenerated $(dirname "$0")/golden_stats.txt"
+GVC_REGEN_GOLDEN=1 "$tests_bin" \
+    --gtest_filter='GoldenStats.*:GoldenDesigns.*'
+echo "regenerated $(dirname "$0")/golden_stats.txt and designs_golden.txt"
 
 # Policy-axis sweep goldens (CI's policy smoke diffs against these).
 if [ ! -x "$sweep_bin" ]; then
