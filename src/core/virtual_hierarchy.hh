@@ -37,6 +37,7 @@
 #include "sim/debug.hh"
 #include "mmu/boundary.hh"
 #include "mmu/injection.hh"
+#include "mmu/mmu_system.hh"
 #include "mmu/soc_config.hh"
 #include "tlb/iommu.hh"
 
@@ -56,7 +57,7 @@ struct ProbeResult
 };
 
 /** The full virtual cache hierarchy (L1 + L2 virtual, FBT in IOMMU). */
-class VirtualCacheSystem final : public GpuMemInterface
+class VirtualCacheSystem final : public MmuSystem
 {
   public:
     VirtualCacheSystem(SimContext &ctx, const SocConfig &cfg, Vm &vm,
@@ -190,8 +191,7 @@ class VirtualCacheSystem final : public GpuMemInterface
 
     Fbt &fbt() { return fbt_; }
     const Fbt &fbt() const { return fbt_; }
-    Iommu &iommu() { return iommu_; }
-    const Iommu &iommu() const { return iommu_; }
+    Iommu *iommu() override { return &iommu_; }
     Directory &directory() { return dir_; }
     CacheArray &l1(unsigned cu) { return *l1s_[cu]; }
     const CacheArray &l1(unsigned cu) const { return *l1s_[cu]; }
@@ -208,7 +208,6 @@ class VirtualCacheSystem final : public GpuMemInterface
     {
         return protection_faults_.value;
     }
-    std::uint64_t fbtPurges() const { return fbt_purges_.value; }
     std::uint64_t l1Flushes() const { return l1_flushes_.value; }
     std::uint64_t probeLinesFiltered() const
     {
@@ -217,11 +216,53 @@ class VirtualCacheSystem final : public GpuMemInterface
     std::uint64_t droppedFills() const { return dropped_fills_.value; }
 
     void
-    flushLifetimes()
+    flushLifetimes() override
     {
         for (auto &l1 : l1s_)
             l1->flushLifetimes();
         l2_.flushLifetimes();
+    }
+
+    void
+    collectTlbRefs(TlbRefHist &, TlbRefHist &iommu_hist) override
+    {
+        foldTlbRefs(iommu_.tlb(), iommu_hist);
+    }
+
+    MmuCounters
+    counters() const override
+    {
+        MmuCounters c;
+        c.setCaches(l1s_, l2_);
+        c.synonym_replays = synonym_replays_.value;
+        c.rw_faults = rw_faults_.value;
+        c.fbt_purges = fbt_purges_.value;
+        c.fbt_valid_pages = fbt_.validEntries();
+        c.fbt_lookups = fbt_.btLookups() + fbt_.ftLookups();
+        c.fbt_ft_hit_ratio = fbt_.ftHitRatio();
+        return c;
+    }
+
+    void
+    registerStats(StatRegistry &reg) override
+    {
+        registerIommuStats(reg, iommu_);
+        reg.addScalar("fbt.bt_lookups",
+                      [this] { return double(fbt_.btLookups()); });
+        reg.addScalar("fbt.ft_hit_ratio",
+                      [this] { return fbt_.ftHitRatio(); });
+        reg.addScalar("fbt.valid_pages",
+                      [this] { return double(fbt_.validEntries()); });
+        reg.addScalar("fbt.capacity_evictions",
+                      [this] { return double(fbt_.capacityEvictions()); });
+        reg.addCounter("vc.synonym_replays", &synonym_replays_);
+        reg.addCounter("vc.rw_faults", &rw_faults_);
+        reg.addCounter("vc.l1_flushes", &l1_flushes_);
+        reg.addCounter("vc.translation_merges", &xlate_merges_);
+        reg.addScalar("vc.l2.hit_ratio", [this] { return l2_.hitRatio(); });
+        reg.addScalar("directory.probes",
+                      [this] { return double(dir_.probesSent()); });
+        reg.addCounter("vc.probe_lines_filtered", &probe_lines_filtered_);
     }
 
     /**
@@ -234,7 +275,7 @@ class VirtualCacheSystem final : public GpuMemInterface
      * a flush-all warm round stays bit-identical to a fresh cold run.
      */
     void
-    applyBoundary(const BoundaryPolicy &p)
+    applyBoundary(const BoundaryPolicy &p) override
     {
         const bool drop_fbt =
             p.flush_fbt || p.flush_l2 || p.shootdown_tlbs;

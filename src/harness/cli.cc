@@ -154,6 +154,50 @@ applyRawDesignIntent(RunConfig &cfg, const RawSocOverrides &user)
 }
 
 bool
+parseSocFlag(const std::string &flag,
+             const std::function<const char *()> &value, RunConfig &cfg,
+             RawSocOverrides &user)
+{
+    SocConfig &soc = cfg.soc;
+    const auto raw = [&](bool &set) {
+        set = true;
+        cfg.raw_soc = true;
+    };
+    const auto fill_policy = [&](unsigned &out) {
+        const std::string name = value();
+        if (!tlbFillPolicyFromName(name, out))
+            fatal(flag + ": unknown policy '" + name +
+                  "' (lru | bypass-dead | bypass-trained)");
+    };
+    if (flag == "--percu-tlb") {
+        soc.percu_tlb_entries = parseUnsigned("--percu-tlb", value());
+        raw(user.percu_tlb_entries);
+    } else if (flag == "--iommu-tlb") {
+        soc.iommu.tlb_entries = parseUnsigned("--iommu-tlb", value());
+        raw(user.iommu_tlb_entries);
+    } else if (flag == "--fbt-entries") {
+        soc.fbt.entries = parseUnsigned("--fbt-entries", value());
+        raw(user.fbt_entries);
+    } else if (flag == "--iommu-bw") {
+        soc.iommu.accesses_per_cycle = parseDouble("--iommu-bw", value());
+    } else if (flag == "--tlb-fill-policy") {
+        fill_policy(soc.percu_tlb_fill_policy);
+    } else if (flag == "--iommu-tlb-fill-policy") {
+        fill_policy(soc.iommu_tlb_fill_policy);
+    } else if (flag == "--tlb-replacement") {
+        const std::string name = value();
+        if (!tlbReplacementFromName(name, soc.tlb_replacement))
+            fatal("--tlb-replacement: unknown policy '" + name +
+                  "' (lru | srrip | brrip | drrip)");
+    } else if (flag == "--cus") {
+        soc.gpu.num_cus = parseUnsigned("--cus", value());
+    } else {
+        return false;
+    }
+    return true;
+}
+
+bool
 parseShardSpec(const std::string &text, ShardSpec &out, std::string *err)
 {
     const auto bad = [&](const std::string &msg) {

@@ -22,6 +22,7 @@
 #define GVC_HARNESS_CLI_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -85,6 +86,18 @@ struct RawSocOverrides
  * No-op when `cfg.raw_soc` is false.
  */
 void applyRawDesignIntent(RunConfig &cfg, const RawSocOverrides &user);
+
+/**
+ * Parse one of the SoC flags gvc_run and gvc_sweep share: --percu-tlb,
+ * --iommu-tlb, --iommu-bw, --fbt-entries, --tlb-fill-policy,
+ * --iommu-tlb-fill-policy, --tlb-replacement and --cus.  @p value
+ * fetches the flag's argument.  The three size flags switch @p cfg to
+ * raw mode and record themselves in @p user.  Returns false, having
+ * fetched nothing, when @p flag is not one of these.
+ */
+bool parseSocFlag(const std::string &flag,
+                  const std::function<const char *()> &value,
+                  RunConfig &cfg, RawSocOverrides &user);
 
 /** One `--shard I/N` grid position; the default {0, 1} is "all cells". */
 struct ShardSpec

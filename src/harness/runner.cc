@@ -113,81 +113,35 @@ runSource(trace::KernelSource &source, const RunConfig &cfg,
     r.mem_instructions = gpu.totalMemInstructions();
     r.lines_per_mem_inst = gpu.meanLinesPerMemInst();
 
-    if (BaselineMmuSystem *b = sut.baseline()) {
-        r.tlb_accesses = b->tlbAccesses();
-        r.tlb_misses = b->tlbMisses();
-        r.tlb_miss_ratio = b->tlbMissRatio();
-        r.tlb_breakdown = b->breakdown();
-        std::uint64_t l1_acc = 0, l1_hit = 0;
-        for (unsigned cu = 0; cu < soc.gpu.num_cus; ++cu) {
-            l1_acc += b->caches().l1(cu).accesses();
-            l1_hit += b->caches().l1(cu).hits();
-        }
-        r.l1_accesses = l1_acc;
-        r.l2_accesses = b->caches().l2().accesses();
-        r.l1_hit_ratio = l1_acc ? double(l1_hit) / double(l1_acc) : 0.0;
-        r.l2_hit_ratio = b->caches().l2().hitRatio();
-        r.tlb_reach_hits = b->tlbReachHits();
-        r.tlb_reach_fills = b->tlbReachFills();
-        r.tlb_merges = b->tlbMerges();
-        r.tlb_fill_bypasses = b->tlbFillBypasses();
-        r.tlb_dead_first_evictions = b->tlbDeadFirstEvictions();
-        r.tlb_pred_true_pos = b->tlbPredTruePos();
-        r.tlb_pred_false_pos = b->tlbPredFalsePos();
-        r.victima_stashes = b->victimaStashes();
-        r.victima_probes = b->victimaProbes();
-        r.victima_hits = b->victimaHits();
-    } else if (VirtualCacheSystem *v = sut.vc()) {
-        std::uint64_t l1_acc = 0, l1_hit = 0;
-        for (unsigned cu = 0; cu < soc.gpu.num_cus; ++cu) {
-            l1_acc += v->l1(cu).accesses();
-            l1_hit += v->l1(cu).hits();
-        }
-        r.l1_accesses = l1_acc;
-        r.l2_accesses = v->l2().accesses();
-        r.l1_hit_ratio = l1_acc ? double(l1_hit) / double(l1_acc) : 0.0;
-        r.l2_hit_ratio = v->l2().hitRatio();
-        r.synonym_replays = v->synonymReplays();
-        r.rw_faults = v->rwFaults();
-        r.fbt_purges = v->fbtPurges();
-        r.fbt_valid_pages = v->fbt().validEntries();
-        r.fbt_second_level_hit_ratio = v->fbt().ftHitRatio();
-        r.fbt_lookups = v->fbt().btLookups() + v->fbt().ftLookups();
-    } else if (L1OnlyVcSystem *l = sut.l1vc()) {
-        std::uint64_t l1_acc = 0, l1_hit = 0, t_acc = 0, t_miss = 0;
-        for (unsigned cu = 0; cu < soc.gpu.num_cus; ++cu) {
-            l1_acc += l->l1(cu).accesses();
-            l1_hit += l->l1(cu).hits();
-            t_acc += l->perCuTlb(cu).accesses();
-            t_miss += l->perCuTlb(cu).misses();
-            r.tlb_reach_hits += l->perCuTlb(cu).reachHits();
-            r.tlb_reach_fills += l->perCuTlb(cu).reachFills();
-            r.tlb_merges += l->perCuTlb(cu).merges();
-            r.tlb_fill_bypasses += l->perCuTlb(cu).fillBypasses();
-            r.tlb_dead_first_evictions +=
-                l->perCuTlb(cu).deadFirstEvictions();
-            r.tlb_pred_true_pos += l->perCuTlb(cu).predTruePos();
-            r.tlb_pred_false_pos += l->perCuTlb(cu).predFalsePos();
-        }
-        r.l1_accesses = l1_acc;
-        r.l2_accesses = l->caches().l2().accesses();
-        r.l1_hit_ratio = l1_acc ? double(l1_hit) / double(l1_acc) : 0.0;
-        r.l2_hit_ratio = l->caches().l2().hitRatio();
-        r.tlb_accesses = t_acc;
-        r.tlb_misses = t_miss;
-        r.tlb_miss_ratio = t_acc ? double(t_miss) / double(t_acc) : 0.0;
-        r.synonym_replays = l->synonymReplays();
-    } else if (IdealMmuSystem *i = sut.ideal()) {
-        std::uint64_t l1_acc = 0, l1_hit = 0;
-        for (unsigned cu = 0; cu < soc.gpu.num_cus; ++cu) {
-            l1_acc += i->caches().l1(cu).accesses();
-            l1_hit += i->caches().l1(cu).hits();
-        }
-        r.l1_accesses = l1_acc;
-        r.l2_accesses = i->caches().l2().accesses();
-        r.l1_hit_ratio = l1_acc ? double(l1_hit) / double(l1_acc) : 0.0;
-        r.l2_hit_ratio = i->caches().l2().hitRatio();
-    }
+    const MmuCounters c = sut.counters();
+    r.tlb_accesses = c.tlb_accesses;
+    r.tlb_misses = c.tlb_misses;
+    r.tlb_miss_ratio =
+        c.tlb_accesses ? double(c.tlb_misses) / double(c.tlb_accesses)
+                       : 0.0;
+    r.tlb_breakdown = c.tlb_breakdown;
+    r.l1_accesses = c.l1_accesses;
+    r.l2_accesses = c.l2_accesses;
+    r.l1_hit_ratio =
+        c.l1_accesses ? double(c.l1_hits) / double(c.l1_accesses) : 0.0;
+    r.l2_hit_ratio =
+        c.l2_accesses ? double(c.l2_hits) / double(c.l2_accesses) : 0.0;
+    r.tlb_reach_hits = c.tlb_reach_hits;
+    r.tlb_reach_fills = c.tlb_reach_fills;
+    r.tlb_merges = c.tlb_merges;
+    r.tlb_fill_bypasses = c.tlb_fill_bypasses;
+    r.tlb_dead_first_evictions = c.tlb_dead_first_evictions;
+    r.tlb_pred_true_pos = c.tlb_pred_true_pos;
+    r.tlb_pred_false_pos = c.tlb_pred_false_pos;
+    r.victima_stashes = c.victima_stashes;
+    r.victima_probes = c.victima_probes;
+    r.victima_hits = c.victima_hits;
+    r.synonym_replays = c.synonym_replays;
+    r.rw_faults = c.rw_faults;
+    r.fbt_purges = c.fbt_purges;
+    r.fbt_valid_pages = c.fbt_valid_pages;
+    r.fbt_second_level_hit_ratio = c.fbt_ft_hit_ratio;
+    r.fbt_lookups = c.fbt_lookups;
     r.dram_accesses = dram.accesses();
     r.dram_bytes = dram.bytesMoved();
 

@@ -17,43 +17,15 @@ collectKernelStats(SystemUnderTest &sut, Gpu &gpu, Dram &dram,
         s.iommu_accesses = io->accesses();
         s.page_walks = io->walks();
     }
-
-    if (BaselineMmuSystem *b = sut.baseline()) {
-        s.tlb_accesses = b->tlbAccesses();
-        s.tlb_misses = b->tlbMisses();
-        for (unsigned cu = 0; cu < gpu.numCus(); ++cu) {
-            s.l1_accesses += b->caches().l1(cu).accesses();
-            s.l1_hits += b->caches().l1(cu).hits();
-        }
-        s.l2_accesses = b->caches().l2().accesses();
-        s.l2_hits = b->caches().l2().hits();
-    } else if (VirtualCacheSystem *v = sut.vc()) {
-        for (unsigned cu = 0; cu < gpu.numCus(); ++cu) {
-            s.l1_accesses += v->l1(cu).accesses();
-            s.l1_hits += v->l1(cu).hits();
-        }
-        s.l2_accesses = v->l2().accesses();
-        s.l2_hits = v->l2().hits();
-        s.fbt_lookups = v->fbt().btLookups() + v->fbt().ftLookups();
-        s.synonym_replays = v->synonymReplays();
-    } else if (L1OnlyVcSystem *l = sut.l1vc()) {
-        for (unsigned cu = 0; cu < gpu.numCus(); ++cu) {
-            s.l1_accesses += l->l1(cu).accesses();
-            s.l1_hits += l->l1(cu).hits();
-            s.tlb_accesses += l->perCuTlb(cu).accesses();
-            s.tlb_misses += l->perCuTlb(cu).misses();
-        }
-        s.l2_accesses = l->caches().l2().accesses();
-        s.l2_hits = l->caches().l2().hits();
-        s.synonym_replays = l->synonymReplays();
-    } else if (IdealMmuSystem *i = sut.ideal()) {
-        for (unsigned cu = 0; cu < gpu.numCus(); ++cu) {
-            s.l1_accesses += i->caches().l1(cu).accesses();
-            s.l1_hits += i->caches().l1(cu).hits();
-        }
-        s.l2_accesses = i->caches().l2().accesses();
-        s.l2_hits = i->caches().l2().hits();
-    }
+    const MmuCounters c = sut.counters();
+    s.tlb_accesses = c.tlb_accesses;
+    s.tlb_misses = c.tlb_misses;
+    s.l1_accesses = c.l1_accesses;
+    s.l1_hits = c.l1_hits;
+    s.l2_accesses = c.l2_accesses;
+    s.l2_hits = c.l2_hits;
+    s.fbt_lookups = c.fbt_lookups;
+    s.synonym_replays = c.synonym_replays;
     return s;
 }
 

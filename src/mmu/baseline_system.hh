@@ -26,6 +26,7 @@
 #include "mem/vm.hh"
 #include "mmu/boundary.hh"
 #include "mmu/injection.hh"
+#include "mmu/mmu_system.hh"
 #include "mmu/phys_caches.hh"
 #include "tlb/iommu.hh"
 #include "tlb/tlb.hh"
@@ -33,22 +34,8 @@
 namespace gvc
 {
 
-/** Figure 2 classification counters. */
-struct TlbMissBreakdown
-{
-    std::uint64_t miss_l1_hit = 0;
-    std::uint64_t miss_l2_hit = 0;
-    std::uint64_t miss_l2_miss = 0;
-
-    std::uint64_t
-    total() const
-    {
-        return miss_l1_hit + miss_l2_hit + miss_l2_miss;
-    }
-};
-
 /** The baseline physical-cache MMU design. */
-class BaselineMmuSystem final : public GpuMemInterface
+class BaselineMmuSystem final : public MmuSystem
 {
   public:
     /**
@@ -110,123 +97,74 @@ class BaselineMmuSystem final : public GpuMemInterface
     Tlb &perCuTlb(unsigned cu) { return *tlbs_[cu]; }
     const Tlb &perCuTlb(unsigned cu) const { return *tlbs_[cu]; }
 
-    /** Fold per-CU TLB entry reference counts into @p percu. */
-    void
-    collectTlbRefs(TlbRefHist &percu)
-    {
-        for (auto &tlb : tlbs_) {
-            tlb->flushResidentRefs();
-            percu.merge(tlb->refHist());
-        }
-    }
-
-    Iommu &iommu() { return iommu_; }
-    const Iommu &iommu() const { return iommu_; }
+    Iommu *iommu() override { return &iommu_; }
     PhysCaches &caches() { return caches_; }
     const PhysCaches &caches() const { return caches_; }
     const TlbMissBreakdown &breakdown() const { return breakdown_; }
-    const SocConfig &config() const { return cfg_; }
 
-    /** Aggregate per-CU TLB accesses across CUs. */
-    std::uint64_t
-    tlbAccesses() const
+    void flushLifetimes() override { caches_.flushLifetimes(); }
+
+    void
+    collectTlbRefs(TlbRefHist &percu, TlbRefHist &iommu_hist) override
     {
-        std::uint64_t n = 0;
-        for (const auto &t : tlbs_)
-            n += t->accesses();
-        return n;
+        for (auto &tlb : tlbs_)
+            foldTlbRefs(*tlb, percu);
+        foldTlbRefs(iommu_.tlb(), iommu_hist);
     }
 
-    /** Aggregate per-CU TLB misses across CUs. */
-    std::uint64_t
-    tlbMisses() const
+    MmuCounters
+    counters() const override
     {
-        std::uint64_t n = 0;
-        for (const auto &t : tlbs_)
-            n += t->misses();
-        return n;
+        MmuCounters c;
+        c.setCaches(caches_.l1s(), caches_.l2());
+        c.addPerCuTlbs(tlbs_);
+        c.tlb_breakdown = breakdown_;
+        c.victima_stashes = victima_stashes_.value;
+        c.victima_probes = victima_probes_.value;
+        c.victima_hits = victima_hits_.value;
+        return c;
     }
 
-    double
-    tlbMissRatio() const
+    void
+    registerStats(StatRegistry &reg) override
     {
-        const auto acc = tlbAccesses();
-        return acc ? double(tlbMisses()) / double(acc) : 0.0;
+        const auto percu = [this, &reg](const char *name,
+                                        std::uint64_t MmuCounters::*f) {
+            reg.addScalar(name, [this, f] { return double(counters().*f); });
+        };
+        registerIommuStats(reg, iommu_);
+        percu("percu_tlb.accesses", &MmuCounters::tlb_accesses);
+        percu("percu_tlb.misses", &MmuCounters::tlb_misses);
+        reg.addScalar("l2.hit_ratio",
+                      [this] { return caches_.l2().hitRatio(); });
+        reg.addScalar("directory.probes", [this] {
+            return double(caches_.directory().probesSent());
+        });
+        // Reach/stash scalars appear only when the feature is on,
+        // keeping classic designs' stat dumps byte-identical.
+        if (cfg_.tlb_max_reach > 0) {
+            percu("percu_tlb.reach_hits", &MmuCounters::tlb_reach_hits);
+            percu("percu_tlb.reach_fills", &MmuCounters::tlb_reach_fills);
+            percu("percu_tlb.merges", &MmuCounters::tlb_merges);
+        }
+        if (cfg_.percu_tlb_fill_policy != kTlbFillLru) {
+            percu("percu_tlb.fill_bypasses",
+                  &MmuCounters::tlb_fill_bypasses);
+        }
+        if (cfg_.percu_tlb_fill_policy == kTlbFillBypassTrained) {
+            percu("percu_tlb.dead_first_evictions",
+                  &MmuCounters::tlb_dead_first_evictions);
+            percu("percu_tlb.pred_true_pos",
+                  &MmuCounters::tlb_pred_true_pos);
+            percu("percu_tlb.pred_false_pos",
+                  &MmuCounters::tlb_pred_false_pos);
+        }
+        if (cfg_.victima_stash) {
+            reg.addCounter("victima.stashes", &victima_stashes_);
+            reg.addCounter("victima.probes", &victima_probes_);
+            reg.addCounter("victima.hits", &victima_hits_);
+        }
     }
-
-    /** Aggregate per-CU reach-entry (reach > 0) hits across CUs. */
-    std::uint64_t
-    tlbReachHits() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &t : tlbs_)
-            n += t->reachHits();
-        return n;
-    }
-
-    /** Aggregate per-CU reach-entry fills across CUs. */
-    std::uint64_t
-    tlbReachFills() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &t : tlbs_)
-            n += t->reachFills();
-        return n;
-    }
-
-    /** Aggregate per-CU buddy merges across CUs. */
-    std::uint64_t
-    tlbMerges() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &t : tlbs_)
-            n += t->merges();
-        return n;
-    }
-
-    /** Aggregate per-CU predicted-dead fill bypasses across CUs. */
-    std::uint64_t
-    tlbFillBypasses() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &t : tlbs_)
-            n += t->fillBypasses();
-        return n;
-    }
-
-    /** Aggregate per-CU dead-first evictions across CUs. */
-    std::uint64_t
-    tlbDeadFirstEvictions() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &t : tlbs_)
-            n += t->deadFirstEvictions();
-        return n;
-    }
-
-    /** Aggregate per-CU predictor true positives across CUs. */
-    std::uint64_t
-    tlbPredTruePos() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &t : tlbs_)
-            n += t->predTruePos();
-        return n;
-    }
-
-    /** Aggregate per-CU predictor false positives across CUs. */
-    std::uint64_t
-    tlbPredFalsePos() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &t : tlbs_)
-            n += t->predFalsePos();
-        return n;
-    }
-
-    std::uint64_t victimaStashes() const { return victima_stashes_.value; }
-    std::uint64_t victimaProbes() const { return victima_probes_.value; }
-    std::uint64_t victimaHits() const { return victima_hits_.value; }
 
     /**
      * Kernel boundary (§4).  A shootdown invalidates the translation
@@ -236,7 +174,7 @@ class BaselineMmuSystem final : public GpuMemInterface
      * asymmetry versus the VC designs that fig_warm measures.
      */
     void
-    applyBoundary(const BoundaryPolicy &p)
+    applyBoundary(const BoundaryPolicy &p) override
     {
         caches_.boundaryFlush(p.flush_l1, p.flush_l2);
         if (p.flush_l2)

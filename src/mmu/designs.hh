@@ -16,6 +16,7 @@
 #include "mmu/boundary.hh"
 #include "mmu/ideal_system.hh"
 #include "mmu/l1vc_system.hh"
+#include "mmu/mmu_system.hh"
 #include "mmu/soc_config.hh"
 
 namespace gvc
@@ -35,6 +36,16 @@ enum class MmuDesign {
     kBase2MB,          ///< Baseline 512 + 2 MB pages, reach-9 TLBs.
     kBaseCoalesced,    ///< Baseline 512 + coalesced fills, buddy merge.
     kBaseVictima,      ///< Baseline 512 + Victima-style L2 stashing.
+};
+
+/** Every MmuDesign, in declaration order. */
+inline constexpr MmuDesign kAllDesigns[] = {
+    MmuDesign::kIdeal,         MmuDesign::kBaseline512,
+    MmuDesign::kBaseline16K,   MmuDesign::kBaselineLargeTlb,
+    MmuDesign::kVcNoOpt,       MmuDesign::kVcOpt,
+    MmuDesign::kL1Vc32,        MmuDesign::kL1Vc128,
+    MmuDesign::kBase2MB,       MmuDesign::kBaseCoalesced,
+    MmuDesign::kBaseVictima,
 };
 
 /** Human-readable design name (matches the paper's labels). */
@@ -61,12 +72,7 @@ designName(MmuDesign d)
 inline bool
 designFromName(const std::string &name, MmuDesign &out)
 {
-    for (const MmuDesign d :
-         {MmuDesign::kIdeal, MmuDesign::kBaseline512,
-          MmuDesign::kBaseline16K, MmuDesign::kBaselineLargeTlb,
-          MmuDesign::kVcNoOpt, MmuDesign::kVcOpt, MmuDesign::kL1Vc32,
-          MmuDesign::kL1Vc128, MmuDesign::kBase2MB,
-          MmuDesign::kBaseCoalesced, MmuDesign::kBaseVictima}) {
+    for (const MmuDesign d : kAllDesigns) {
         if (name == designName(d)) {
             out = d;
             return true;
@@ -160,245 +166,75 @@ designTable()
            "Base Victima      | 32 + L2 stash | 512-entry     | 1 Access/Cycle\n";
 }
 
-/** Owns whichever concrete system a design maps to. */
+/** Build the concrete MmuSystem a design maps to. */
+inline std::unique_ptr<MmuSystem>
+makeMmuSystem(SimContext &ctx, const SocConfig &cfg, Vm &vm, Dram &dram,
+              MmuDesign design)
+{
+    switch (design) {
+      case MmuDesign::kIdeal:
+        return std::make_unique<IdealMmuSystem>(ctx, cfg, vm, dram);
+      case MmuDesign::kBaseline512:
+      case MmuDesign::kBaseline16K:
+      case MmuDesign::kBaselineLargeTlb:
+      case MmuDesign::kBase2MB:
+      case MmuDesign::kBaseCoalesced:
+      case MmuDesign::kBaseVictima:
+        return std::make_unique<BaselineMmuSystem>(ctx, cfg, vm, dram);
+      case MmuDesign::kVcNoOpt:
+      case MmuDesign::kVcOpt:
+        return std::make_unique<VirtualCacheSystem>(ctx, cfg, vm, dram);
+      case MmuDesign::kL1Vc32:
+      case MmuDesign::kL1Vc128:
+        return std::make_unique<L1OnlyVcSystem>(ctx, cfg, vm, dram);
+    }
+    panic("makeMmuSystem: unknown design");
+}
+
+/**
+ * Owns the MmuSystem a design maps to.  The harness goes through the
+ * forwarding calls; the typed accessors are for benches and tests that
+ * need one concrete system's internals, and return null otherwise.
+ */
 class SystemUnderTest
 {
   public:
     SystemUnderTest(SimContext &ctx, const SocConfig &cfg, Vm &vm,
                     Dram &dram, MmuDesign design)
-        : design_(design)
+        : design_(design), sys_(makeMmuSystem(ctx, cfg, vm, dram, design))
     {
-        switch (design) {
-          case MmuDesign::kIdeal:
-            ideal_ = std::make_unique<IdealMmuSystem>(ctx, cfg, vm, dram);
-            break;
-          case MmuDesign::kBaseline512:
-          case MmuDesign::kBaseline16K:
-          case MmuDesign::kBaselineLargeTlb:
-          case MmuDesign::kBase2MB:
-          case MmuDesign::kBaseCoalesced:
-          case MmuDesign::kBaseVictima:
-            baseline_ = std::make_unique<BaselineMmuSystem>(ctx, cfg, vm,
-                                                            dram);
-            break;
-          case MmuDesign::kVcNoOpt:
-          case MmuDesign::kVcOpt:
-            vc_ = std::make_unique<VirtualCacheSystem>(ctx, cfg, vm,
-                                                       dram);
-            break;
-          case MmuDesign::kL1Vc32:
-          case MmuDesign::kL1Vc128:
-            l1vc_ = std::make_unique<L1OnlyVcSystem>(ctx, cfg, vm, dram);
-            break;
-        }
     }
 
     MmuDesign design() const { return design_; }
+    MmuSystem &system() { return *sys_; }
+    GpuMemInterface &memIf() { return *sys_; }
 
-    GpuMemInterface &
-    memIf()
-    {
-        if (ideal_)
-            return *ideal_;
-        if (baseline_)
-            return *baseline_;
-        if (vc_)
-            return *vc_;
-        return *l1vc_;
-    }
+    IdealMmuSystem *ideal() { return as<IdealMmuSystem>(); }
+    BaselineMmuSystem *baseline() { return as<BaselineMmuSystem>(); }
+    VirtualCacheSystem *vc() { return as<VirtualCacheSystem>(); }
+    L1OnlyVcSystem *l1vc() { return as<L1OnlyVcSystem>(); }
 
-    /** The shared IOMMU, when the design has one. */
-    Iommu *
-    iommu()
-    {
-        if (baseline_)
-            return &baseline_->iommu();
-        if (vc_)
-            return &vc_->iommu();
-        if (l1vc_)
-            return &l1vc_->iommu();
-        return nullptr;
-    }
-
-    IdealMmuSystem *ideal() { return ideal_.get(); }
-    BaselineMmuSystem *baseline() { return baseline_.get(); }
-    VirtualCacheSystem *vc() { return vc_.get(); }
-    L1OnlyVcSystem *l1vc() { return l1vc_.get(); }
-
-    void
-    flushLifetimes()
-    {
-        if (ideal_)
-            ideal_->caches().flushLifetimes();
-        if (baseline_)
-            baseline_->caches().flushLifetimes();
-        if (vc_)
-            vc_->flushLifetimes();
-        if (l1vc_)
-            l1vc_->caches().flushLifetimes();
-    }
-
-    /**
-     * Fold TLB entry reference-count histograms into @p percu (per-CU
-     * TLBs, where the design has them) and @p iommu (the shared IOMMU
-     * TLB).  Still-resident entries are flushed in first, so call once
-     * at simulation end.
-     */
+    Iommu *iommu() { return sys_->iommu(); }
+    void flushLifetimes() { sys_->flushLifetimes(); }
     void
     collectTlbRefs(TlbRefHist &percu, TlbRefHist &iommu_hist)
     {
-        if (baseline_)
-            baseline_->collectTlbRefs(percu);
-        if (l1vc_)
-            l1vc_->collectTlbRefs(percu);
-        if (Iommu *io = iommu()) {
-            io->tlb().flushResidentRefs();
-            iommu_hist.merge(io->tlb().refHist());
-        }
+        sys_->collectTlbRefs(percu, iommu_hist);
     }
-
-    /** Apply a kernel-boundary policy to whichever system is built. */
-    void
-    applyBoundary(const BoundaryPolicy &p)
-    {
-        if (ideal_)
-            ideal_->applyBoundary(p);
-        if (baseline_)
-            baseline_->applyBoundary(p);
-        if (vc_)
-            vc_->applyBoundary(p);
-        if (l1vc_)
-            l1vc_->applyBoundary(p);
-    }
-
-    /** Register this system's statistics under dotted names. */
-    void
-    registerStats(StatRegistry &reg)
-    {
-        if (Iommu *io = iommu()) {
-            reg.addScalar("iommu.accesses",
-                          [io] { return double(io->accesses()); });
-            reg.addScalar("iommu.walks",
-                          [io] { return double(io->walks()); });
-            reg.addScalar("iommu.faults",
-                          [io] { return double(io->faults()); });
-            reg.addScalar("iommu.serialization_cycles", [io] {
-                return double(io->serializationDelay());
-            });
-            reg.addScalar("iommu.tlb.hits", [io] {
-                return double(io->tlb().hits());
-            });
-            reg.addScalar("iommu.tlb.misses", [io] {
-                return double(io->tlb().misses());
-            });
-            reg.addScalar("iommu.pwc.hit_ratio", [io] {
-                return io->ptw().pwc().hitRatio();
-            });
-            reg.addScalar("iommu.ptw.mean_latency", [io] {
-                return io->ptw().meanLatency();
-            });
-        }
-        if (BaselineMmuSystem *b = baseline_.get()) {
-            reg.addScalar("percu_tlb.accesses", [b] {
-                return double(b->tlbAccesses());
-            });
-            reg.addScalar("percu_tlb.misses",
-                          [b] { return double(b->tlbMisses()); });
-            reg.addScalar("l2.hit_ratio", [b] {
-                return b->caches().l2().hitRatio();
-            });
-            reg.addScalar("directory.probes", [b] {
-                return double(b->caches().directory().probesSent());
-            });
-            // Reach/stash scalars appear only when the feature is on,
-            // keeping classic designs' stat dumps byte-identical.
-            if (b->config().tlb_max_reach > 0) {
-                reg.addScalar("percu_tlb.reach_hits", [b] {
-                    return double(b->tlbReachHits());
-                });
-                reg.addScalar("percu_tlb.reach_fills", [b] {
-                    return double(b->tlbReachFills());
-                });
-                reg.addScalar("percu_tlb.merges", [b] {
-                    return double(b->tlbMerges());
-                });
-            }
-            if (b->config().percu_tlb_fill_policy != kTlbFillLru) {
-                reg.addScalar("percu_tlb.fill_bypasses", [b] {
-                    return double(b->tlbFillBypasses());
-                });
-            }
-            if (b->config().percu_tlb_fill_policy ==
-                kTlbFillBypassTrained) {
-                reg.addScalar("percu_tlb.dead_first_evictions", [b] {
-                    return double(b->tlbDeadFirstEvictions());
-                });
-                reg.addScalar("percu_tlb.pred_true_pos", [b] {
-                    return double(b->tlbPredTruePos());
-                });
-                reg.addScalar("percu_tlb.pred_false_pos", [b] {
-                    return double(b->tlbPredFalsePos());
-                });
-            }
-            if (b->config().victima_stash) {
-                reg.addScalar("victima.stashes", [b] {
-                    return double(b->victimaStashes());
-                });
-                reg.addScalar("victima.probes", [b] {
-                    return double(b->victimaProbes());
-                });
-                reg.addScalar("victima.hits", [b] {
-                    return double(b->victimaHits());
-                });
-            }
-        }
-        if (VirtualCacheSystem *v = vc_.get()) {
-            reg.addScalar("fbt.bt_lookups", [v] {
-                return double(v->fbt().btLookups());
-            });
-            reg.addScalar("fbt.ft_hit_ratio",
-                          [v] { return v->fbt().ftHitRatio(); });
-            reg.addScalar("fbt.valid_pages", [v] {
-                return double(v->fbt().validEntries());
-            });
-            reg.addScalar("fbt.capacity_evictions", [v] {
-                return double(v->fbt().capacityEvictions());
-            });
-            reg.addScalar("vc.synonym_replays", [v] {
-                return double(v->synonymReplays());
-            });
-            reg.addScalar("vc.rw_faults",
-                          [v] { return double(v->rwFaults()); });
-            reg.addScalar("vc.l1_flushes",
-                          [v] { return double(v->l1Flushes()); });
-            reg.addScalar("vc.translation_merges", [v] {
-                return double(v->translationMerges());
-            });
-            reg.addScalar("vc.l2.hit_ratio",
-                          [v] { return v->l2().hitRatio(); });
-            reg.addScalar("directory.probes", [v] {
-                return double(v->directory().probesSent());
-            });
-            reg.addScalar("vc.probe_lines_filtered", [v] {
-                return double(v->probeLinesFiltered());
-            });
-        }
-        if (L1OnlyVcSystem *l = l1vc_.get()) {
-            reg.addScalar("l1vc.synonym_replays", [l] {
-                return double(l->synonymReplays());
-            });
-            reg.addScalar("l1vc.registry_lines", [l] {
-                return double(l->registry().size());
-            });
-        }
-    }
+    void applyBoundary(const BoundaryPolicy &p) { sys_->applyBoundary(p); }
+    void registerStats(StatRegistry &reg) { sys_->registerStats(reg); }
+    MmuCounters counters() const { return sys_->counters(); }
 
   private:
+    template <class T>
+    T *
+    as()
+    {
+        return dynamic_cast<T *>(sys_.get());
+    }
+
     MmuDesign design_;
-    std::unique_ptr<IdealMmuSystem> ideal_;
-    std::unique_ptr<BaselineMmuSystem> baseline_;
-    std::unique_ptr<VirtualCacheSystem> vc_;
-    std::unique_ptr<L1OnlyVcSystem> l1vc_;
+    std::unique_ptr<MmuSystem> sys_;
 };
 
 } // namespace gvc

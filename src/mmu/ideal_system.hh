@@ -13,13 +13,14 @@
 #include "mem/vm.hh"
 #include "mmu/boundary.hh"
 #include "mmu/injection.hh"
+#include "mmu/mmu_system.hh"
 #include "mmu/phys_caches.hh"
 
 namespace gvc
 {
 
 /** Physical hierarchy with zero-cost address translation. */
-class IdealMmuSystem final : public GpuMemInterface
+class IdealMmuSystem final : public MmuSystem
 {
   public:
     IdealMmuSystem(SimContext &ctx, const SocConfig &cfg, Vm &vm,
@@ -52,9 +53,23 @@ class IdealMmuSystem final : public GpuMemInterface
      * flags matter; a TLB shootdown is a no-op by construction.
      */
     void
-    applyBoundary(const BoundaryPolicy &p)
+    applyBoundary(const BoundaryPolicy &p) override
     {
         caches_.boundaryFlush(p.flush_l1, p.flush_l2);
+    }
+
+    void flushLifetimes() override { caches_.flushLifetimes(); }
+    void collectTlbRefs(TlbRefHist &, TlbRefHist &) override {}
+    Iommu *iommu() override { return nullptr; }
+    /** Translation is free, so there is nothing to report. */
+    void registerStats(StatRegistry &) override {}
+
+    MmuCounters
+    counters() const override
+    {
+        MmuCounters c;
+        c.setCaches(caches_.l1s(), caches_.l2());
+        return c;
     }
 
   private:

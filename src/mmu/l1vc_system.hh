@@ -26,6 +26,7 @@
 #include "mem/vm.hh"
 #include "mmu/boundary.hh"
 #include "mmu/injection.hh"
+#include "mmu/mmu_system.hh"
 #include "mmu/phys_caches.hh"
 #include "tlb/iommu.hh"
 #include "tlb/tlb.hh"
@@ -93,7 +94,7 @@ class LineLeadingRegistry
 };
 
 /** The L1-only virtual cache design. */
-class L1OnlyVcSystem final : public GpuMemInterface
+class L1OnlyVcSystem final : public MmuSystem
 {
   public:
     L1OnlyVcSystem(SimContext &ctx, const SocConfig &cfg, Vm &vm,
@@ -156,21 +157,39 @@ class L1OnlyVcSystem final : public GpuMemInterface
     Tlb &perCuTlb(unsigned cu) { return *tlbs_[cu]; }
     CacheArray &l1(unsigned cu) { return *l1s_[cu]; }
 
-    /** Fold per-CU TLB entry reference counts into @p percu. */
-    void
-    collectTlbRefs(TlbRefHist &percu)
-    {
-        for (auto &tlb : tlbs_) {
-            tlb->flushResidentRefs();
-            percu.merge(tlb->refHist());
-        }
-    }
-
-    Iommu &iommu() { return iommu_; }
-    const Iommu &iommu() const { return iommu_; }
+    Iommu *iommu() override { return &iommu_; }
     PhysCaches &caches() { return caches_; }
     std::uint64_t synonymReplays() const { return synonym_replays_.value; }
     LineLeadingRegistry &registry() { return registry_; }
+
+    void flushLifetimes() override { caches_.flushLifetimes(); }
+
+    void
+    collectTlbRefs(TlbRefHist &percu, TlbRefHist &iommu_hist) override
+    {
+        for (auto &tlb : tlbs_)
+            foldTlbRefs(*tlb, percu);
+        foldTlbRefs(iommu_.tlb(), iommu_hist);
+    }
+
+    MmuCounters
+    counters() const override
+    {
+        MmuCounters c;
+        c.setCaches(l1s_, caches_.l2());
+        c.addPerCuTlbs(tlbs_);
+        c.synonym_replays = synonym_replays_.value;
+        return c;
+    }
+
+    void
+    registerStats(StatRegistry &reg) override
+    {
+        registerIommuStats(reg, iommu_);
+        reg.addCounter("l1vc.synonym_replays", &synonym_replays_);
+        reg.addScalar("l1vc.registry_lines",
+                      [this] { return double(registry_.size()); });
+    }
 
     /**
      * Kernel boundary (§4).  The virtual L1s must go whenever their
@@ -179,7 +198,7 @@ class L1OnlyVcSystem final : public GpuMemInterface
      * physical L2 follows the baseline rules and may survive.
      */
     void
-    applyBoundary(const BoundaryPolicy &p)
+    applyBoundary(const BoundaryPolicy &p) override
     {
         if (p.flush_l1 || p.shootdown_tlbs) {
             for (auto &l1 : l1s_)

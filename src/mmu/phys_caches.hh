@@ -117,6 +117,11 @@ class PhysCaches
 
     CacheArray &l1(unsigned cu) { return *l1s_[cu]; }
     const CacheArray &l1(unsigned cu) const { return *l1s_[cu]; }
+    const std::vector<std::unique_ptr<CacheArray>> &
+    l1s() const
+    {
+        return l1s_;
+    }
     CacheArray &l2() { return l2_; }
     const CacheArray &l2() const { return l2_; }
     MshrTable &mshrs() { return mshrs_; }

@@ -54,8 +54,8 @@ class BaselineTest : public ::testing::Test
 TEST_F(BaselineTest, TlbMissGoesToIommuThenFills)
 {
     access(base_);
-    EXPECT_EQ(sys_->tlbMisses(), 1u);
-    EXPECT_EQ(sys_->iommu().accesses(), 1u);
+    EXPECT_EQ(sys_->counters().tlb_misses, 1u);
+    EXPECT_EQ(sys_->iommu()->accesses(), 1u);
     EXPECT_TRUE(sys_->perCuTlb(0).present(asid_, pageOf(base_)));
     // Data landed in the physical caches.
     const auto pa = vm_.translate(asid_, base_)->ppn;
@@ -66,18 +66,18 @@ TEST_F(BaselineTest, TlbMissGoesToIommuThenFills)
 TEST_F(BaselineTest, TlbHitSkipsIommu)
 {
     access(base_);
-    const auto before = sys_->iommu().accesses();
+    const auto before = sys_->iommu()->accesses();
     access(base_ + kLineSize); // same page
-    EXPECT_EQ(sys_->iommu().accesses(), before);
-    EXPECT_EQ(sys_->tlbMisses(), 1u);
+    EXPECT_EQ(sys_->iommu()->accesses(), before);
+    EXPECT_EQ(sys_->counters().tlb_misses, 1u);
 }
 
 TEST_F(BaselineTest, PerCuTlbsAreSeparate)
 {
     access(base_, false, 0);
-    const auto before = sys_->iommu().accesses();
+    const auto before = sys_->iommu()->accesses();
     access(base_, false, 1); // different CU: its own TLB misses
-    EXPECT_EQ(sys_->iommu().accesses(), before + 1);
+    EXPECT_EQ(sys_->iommu()->accesses(), before + 1);
 }
 
 TEST_F(BaselineTest, EveryMissIsAnIommuAccessWhenUnmerged)
@@ -90,7 +90,7 @@ TEST_F(BaselineTest, EveryMissIsAnIommuAccessWhenUnmerged)
                      [&] { ++done; });
     ctx_.eq.run();
     EXPECT_EQ(done, 4u);
-    EXPECT_EQ(sys_->iommu().accesses(), 4u);
+    EXPECT_EQ(sys_->iommu()->accesses(), 4u);
 }
 
 TEST_F(BaselineTest, MergedModeCoalescesConcurrentMisses)
@@ -103,7 +103,7 @@ TEST_F(BaselineTest, MergedModeCoalescesConcurrentMisses)
                       [&] { ++done; });
     ctx_.eq.run();
     EXPECT_EQ(done, 4u);
-    EXPECT_EQ(merged.iommu().accesses(), 1u);
+    EXPECT_EQ(merged.iommu()->accesses(), 1u);
 }
 
 TEST_F(BaselineTest, ClassificationBucketsAreConsistent)

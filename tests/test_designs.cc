@@ -44,13 +44,8 @@ TEST(Designs, ConfigForMatchesTable2)
 
 TEST(Designs, NamesAreDistinct)
 {
-    const MmuDesign all[] = {
-        MmuDesign::kIdeal,       MmuDesign::kBaseline512,
-        MmuDesign::kBaseline16K, MmuDesign::kBaselineLargeTlb,
-        MmuDesign::kVcNoOpt,     MmuDesign::kVcOpt,
-        MmuDesign::kL1Vc32,      MmuDesign::kL1Vc128};
-    for (const auto a : all) {
-        for (const auto b : all) {
+    for (const auto a : kAllDesigns) {
+        for (const auto b : kAllDesigns) {
             if (a != b) {
                 EXPECT_STRNE(designName(a), designName(b));
             }
@@ -73,25 +68,28 @@ TEST(Designs, SystemUnderTestExposesTheRightConcreteSystem)
     Vm vm(pm);
     Dram dram(ctx, {});
 
-    {
-        SystemUnderTest sut(ctx, configFor(MmuDesign::kVcOpt), vm, dram,
-                            MmuDesign::kVcOpt);
-        EXPECT_NE(sut.vc(), nullptr);
-        EXPECT_EQ(sut.baseline(), nullptr);
-        EXPECT_NE(sut.iommu(), nullptr);
+    for (const MmuDesign d : kAllDesigns) {
+        SCOPED_TRACE(designName(d));
+        SystemUnderTest sut(ctx, configFor(d), vm, dram, d);
+        EXPECT_EQ(sut.design(), d);
+        const int typed = int(sut.ideal() != nullptr) +
+                          int(sut.baseline() != nullptr) +
+                          int(sut.vc() != nullptr) +
+                          int(sut.l1vc() != nullptr);
+        EXPECT_EQ(typed, 1);
+        EXPECT_EQ(sut.iommu() == nullptr, d == MmuDesign::kIdeal);
+        EXPECT_EQ(&sut.memIf(), &sut.system());
+        EXPECT_TRUE(sut.counters() == MmuCounters{});
     }
-    {
-        SystemUnderTest sut(ctx, configFor(MmuDesign::kIdeal), vm, dram,
-                            MmuDesign::kIdeal);
-        EXPECT_NE(sut.ideal(), nullptr);
-        EXPECT_EQ(sut.iommu(), nullptr);
-    }
-    {
-        SystemUnderTest sut(ctx, configFor(MmuDesign::kL1Vc32), vm,
-                            dram, MmuDesign::kL1Vc32);
-        EXPECT_NE(sut.l1vc(), nullptr);
-        EXPECT_NE(sut.iommu(), nullptr);
-    }
+
+    // The accessor that is non-null is the one the design family owns.
+    const auto build = [&](MmuDesign d) {
+        return SystemUnderTest(ctx, configFor(d), vm, dram, d);
+    };
+    EXPECT_NE(build(MmuDesign::kIdeal).ideal(), nullptr);
+    EXPECT_NE(build(MmuDesign::kBaseVictima).baseline(), nullptr);
+    EXPECT_NE(build(MmuDesign::kVcNoOpt).vc(), nullptr);
+    EXPECT_NE(build(MmuDesign::kL1Vc128).l1vc(), nullptr);
 }
 
 // ---------------------------------------------------------------

@@ -78,12 +78,7 @@ currentGolden()
     os << "# gvc per-design golden exports: bfs, scale " << kScale
        << ", 2 rounds, shootdown boundary.  Regenerate with "
           "tests/regen_golden.sh\n";
-    for (const MmuDesign d :
-         {MmuDesign::kIdeal, MmuDesign::kBaseline512,
-          MmuDesign::kBaseline16K, MmuDesign::kBaselineLargeTlb,
-          MmuDesign::kVcNoOpt, MmuDesign::kVcOpt, MmuDesign::kL1Vc32,
-          MmuDesign::kL1Vc128, MmuDesign::kBase2MB,
-          MmuDesign::kBaseCoalesced, MmuDesign::kBaseVictima}) {
+    for (const MmuDesign d : kAllDesigns) {
         RunConfig cfg;
         cfg.design = d;
         cfg.workload.scale = kScale;

@@ -33,6 +33,7 @@
 #include "mmu/ideal_system.hh"
 #include "mmu/injection.hh"
 #include "mmu/l1vc_system.hh"
+#include "mmu/mmu_system.hh"
 #include "mmu/phys_caches.hh"
 #include "mmu/soc_config.hh"
 #include "sim/debug.hh"

@@ -135,12 +135,7 @@ expectExactPartition(const TlbRefHist &h, const std::string &what)
 
 TEST(RefHistPartition, ExactAcrossAllDesigns)
 {
-    for (const MmuDesign d :
-         {MmuDesign::kIdeal, MmuDesign::kBaseline512,
-          MmuDesign::kBaseline16K, MmuDesign::kBaselineLargeTlb,
-          MmuDesign::kVcNoOpt, MmuDesign::kVcOpt, MmuDesign::kL1Vc32,
-          MmuDesign::kL1Vc128, MmuDesign::kBase2MB,
-          MmuDesign::kBaseCoalesced, MmuDesign::kBaseVictima}) {
+    for (const MmuDesign d : kAllDesigns) {
         const RunResult r = runWorkload("bfs", quick(d, 0.05));
         expectExactPartition(r.percu_tlb_refs,
                              std::string("percu ") + designName(d));

@@ -7,6 +7,7 @@
  */
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -880,4 +881,136 @@ TEST(CliParse, DesignSpellings)
     }
     MmuDesign got;
     EXPECT_FALSE(designFromName("No Such Design", got));
+}
+
+TEST(CliParse, EveryDesignRoundTripsItsNames)
+{
+    for (const MmuDesign d : kAllDesigns) {
+        MmuDesign got;
+        ASSERT_TRUE(designFromName(designName(d), got)) << designName(d);
+        EXPECT_EQ(got, d);
+        bool spelled = false;
+        for (const auto &[spelling, design] : designSpellings()) {
+            if (design != d)
+                continue;
+            spelled = true;
+            ASSERT_TRUE(tryParseDesign(spelling, got)) << spelling;
+            EXPECT_EQ(got, d) << spelling;
+        }
+        EXPECT_TRUE(spelled) << designName(d) << " has no CLI spelling";
+    }
+}
+
+// ---------------------------------------------------------------------
+// The SoC flags gvc_run and gvc_sweep share
+// ---------------------------------------------------------------------
+
+/** parseSocFlag() on a fresh config; counts how often it read a value. */
+struct SocFlagRun
+{
+    RunConfig cfg;
+    RawSocOverrides user;
+    int fetched = 0;
+    bool consumed = false;
+
+    SocFlagRun(const std::string &flag, const char *value)
+    {
+        consumed = parseSocFlag(
+            flag,
+            [&] {
+                ++fetched;
+                return value;
+            },
+            cfg, user);
+    }
+};
+
+TEST(SocFlags, EachSharedFlagSetsItsField)
+{
+    struct Case
+    {
+        const char *flag;
+        const char *value;
+        std::function<bool(const RunConfig &)> applied;
+        bool raw;
+    };
+    const Case cases[] = {
+        {"--percu-tlb", "64",
+         [](const RunConfig &c) { return c.soc.percu_tlb_entries == 64; },
+         true},
+        {"--iommu-tlb", "1024",
+         [](const RunConfig &c) {
+             return c.soc.iommu.tlb_entries == 1024;
+         },
+         true},
+        {"--fbt-entries", "4096",
+         [](const RunConfig &c) { return c.soc.fbt.entries == 4096; },
+         true},
+        {"--iommu-bw", "2.5",
+         [](const RunConfig &c) {
+             return c.soc.iommu.accesses_per_cycle == 2.5;
+         },
+         false},
+        {"--tlb-fill-policy", "bypass-trained",
+         [](const RunConfig &c) {
+             return c.soc.percu_tlb_fill_policy == kTlbFillBypassTrained;
+         },
+         false},
+        {"--iommu-tlb-fill-policy", "bypass-dead",
+         [](const RunConfig &c) {
+             return c.soc.iommu_tlb_fill_policy == kTlbFillBypassDead;
+         },
+         false},
+        {"--tlb-replacement", "drrip",
+         [](const RunConfig &c) {
+             return c.soc.tlb_replacement == kTlbReplDrrip;
+         },
+         false},
+        {"--cus", "8",
+         [](const RunConfig &c) { return c.soc.gpu.num_cus == 8; },
+         false},
+    };
+    for (const Case &c : cases) {
+        const SocFlagRun run(c.flag, c.value);
+        EXPECT_TRUE(run.consumed) << c.flag;
+        EXPECT_EQ(run.fetched, 1) << c.flag;
+        EXPECT_TRUE(c.applied(run.cfg)) << c.flag;
+        EXPECT_EQ(run.cfg.raw_soc, c.raw) << c.flag;
+        const int raw_bits = int(run.user.percu_tlb_entries) +
+                             int(run.user.iommu_tlb_entries) +
+                             int(run.user.fbt_entries);
+        EXPECT_EQ(raw_bits, c.raw ? 1 : 0) << c.flag;
+    }
+}
+
+TEST(SocFlags, OtherFlagsAreLeftToTheTool)
+{
+    // gvc_run's own --iommu-banks/--remap-entries and every non-SoC
+    // flag fall through without reading a value.
+    for (const char *flag :
+         {"--iommu-banks", "--remap-entries", "--scale", "--jobs", "-d",
+          "--percu_tlb", ""}) {
+        const SocFlagRun run(flag, "1");
+        EXPECT_FALSE(run.consumed) << flag;
+        EXPECT_EQ(run.fetched, 0) << flag;
+        EXPECT_FALSE(run.cfg.raw_soc) << flag;
+    }
+}
+
+using SocFlagsDeath = ::testing::Test;
+
+TEST(SocFlagsDeath, BadValuesNameTheFlag)
+{
+    EXPECT_DEATH(SocFlagRun("--percu-tlb", "-4"),
+                 "--percu-tlb: expected a non-negative integer");
+    EXPECT_DEATH(SocFlagRun("--iommu-bw", "fast"),
+                 "--iommu-bw: expected a number");
+    EXPECT_DEATH(SocFlagRun("--tlb-fill-policy", "mru"),
+                 "--tlb-fill-policy: unknown policy 'mru' \\(lru \\| "
+                 "bypass-dead \\| bypass-trained\\)");
+    EXPECT_DEATH(SocFlagRun("--iommu-tlb-fill-policy", "mru"),
+                 "--iommu-tlb-fill-policy: unknown policy 'mru'");
+    EXPECT_DEATH(SocFlagRun("--tlb-replacement", "plru"),
+                 "--tlb-replacement: unknown policy 'plru' \\(lru \\| "
+                 "srrip \\| brrip \\| drrip\\)");
 }

@@ -113,53 +113,15 @@ parse(int argc, char **argv)
             opt.cfg.workload.scale = parseDouble("--scale", need(i));
         } else if (a == "--seed") {
             opt.cfg.workload.seed = parseU64("--seed", need(i));
-        } else if (a == "--percu-tlb") {
-            opt.cfg.soc.percu_tlb_entries =
-                parseUnsigned("--percu-tlb", need(i));
-            opt.raw_set.percu_tlb_entries = true;
-            opt.cfg.raw_soc = true;
-        } else if (a == "--iommu-tlb") {
-            opt.cfg.soc.iommu.tlb_entries =
-                parseUnsigned("--iommu-tlb", need(i));
-            opt.raw_set.iommu_tlb_entries = true;
-            opt.cfg.raw_soc = true;
-        } else if (a == "--iommu-bw") {
-            opt.cfg.soc.iommu.accesses_per_cycle =
-                parseDouble("--iommu-bw", need(i));
+        } else if (parseSocFlag(a, [&] { return need(i); }, opt.cfg,
+                                opt.raw_set)) {
+            // A shared SoC flag; parseSocFlag applied it.
         } else if (a == "--iommu-banks") {
             opt.cfg.soc.iommu.banks =
                 parseUnsigned("--iommu-banks", need(i));
-        } else if (a == "--fbt-entries") {
-            opt.cfg.soc.fbt.entries =
-                parseUnsigned("--fbt-entries", need(i));
-            opt.raw_set.fbt_entries = true;
-            opt.cfg.raw_soc = true;
         } else if (a == "--remap-entries") {
             opt.cfg.soc.synonym_remap_entries =
                 parseUnsigned("--remap-entries", need(i));
-        } else if (a == "--tlb-fill-policy") {
-            const std::string name = need(i);
-            if (!tlbFillPolicyFromName(
-                    name, opt.cfg.soc.percu_tlb_fill_policy)) {
-                fatal("--tlb-fill-policy: unknown policy '" + name +
-                      "' (lru | bypass-dead | bypass-trained)");
-            }
-        } else if (a == "--iommu-tlb-fill-policy") {
-            const std::string name = need(i);
-            if (!tlbFillPolicyFromName(
-                    name, opt.cfg.soc.iommu_tlb_fill_policy)) {
-                fatal("--iommu-tlb-fill-policy: unknown policy '" +
-                      name + "' (lru | bypass-dead | bypass-trained)");
-            }
-        } else if (a == "--tlb-replacement") {
-            const std::string name = need(i);
-            if (!tlbReplacementFromName(name,
-                                        opt.cfg.soc.tlb_replacement)) {
-                fatal("--tlb-replacement: unknown policy '" + name +
-                      "' (lru | srrip | brrip | drrip)");
-            }
-        } else if (a == "--cus") {
-            opt.cfg.soc.gpu.num_cus = parseUnsigned("--cus", need(i));
         } else if (a == "--kernels") {
             opt.scenario.rounds = parseUnsigned("--kernels", need(i));
             if (opt.scenario.rounds == 0)

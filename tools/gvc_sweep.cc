@@ -197,47 +197,9 @@ parse(int argc, char **argv)
             opt.json_path = need(i);
         } else if (a == "--csv") {
             opt.csv_path = need(i);
-        } else if (a == "--iommu-bw") {
-            opt.base.soc.iommu.accesses_per_cycle =
-                parseDouble("--iommu-bw", need(i));
-        } else if (a == "--iommu-tlb") {
-            opt.base.soc.iommu.tlb_entries =
-                parseUnsigned("--iommu-tlb", need(i));
-            opt.raw_set.iommu_tlb_entries = true;
-            opt.base.raw_soc = true;
-        } else if (a == "--percu-tlb") {
-            opt.base.soc.percu_tlb_entries =
-                parseUnsigned("--percu-tlb", need(i));
-            opt.raw_set.percu_tlb_entries = true;
-            opt.base.raw_soc = true;
-        } else if (a == "--fbt-entries") {
-            opt.base.soc.fbt.entries =
-                parseUnsigned("--fbt-entries", need(i));
-            opt.raw_set.fbt_entries = true;
-            opt.base.raw_soc = true;
-        } else if (a == "--tlb-fill-policy") {
-            const std::string name = need(i);
-            if (!tlbFillPolicyFromName(
-                    name, opt.base.soc.percu_tlb_fill_policy)) {
-                fatal("--tlb-fill-policy: unknown policy '" + name +
-                      "' (lru | bypass-dead | bypass-trained)");
-            }
-        } else if (a == "--iommu-tlb-fill-policy") {
-            const std::string name = need(i);
-            if (!tlbFillPolicyFromName(
-                    name, opt.base.soc.iommu_tlb_fill_policy)) {
-                fatal("--iommu-tlb-fill-policy: unknown policy '" +
-                      name + "' (lru | bypass-dead | bypass-trained)");
-            }
-        } else if (a == "--tlb-replacement") {
-            const std::string name = need(i);
-            if (!tlbReplacementFromName(
-                    name, opt.base.soc.tlb_replacement)) {
-                fatal("--tlb-replacement: unknown policy '" + name +
-                      "' (lru | srrip | brrip | drrip)");
-            }
-        } else if (a == "--cus") {
-            opt.base.soc.gpu.num_cus = parseUnsigned("--cus", need(i));
+        } else if (parseSocFlag(a, [&] { return need(i); }, opt.base,
+                                opt.raw_set)) {
+            // A shared SoC flag; parseSocFlag applied it.
         } else if (a == "--live") {
             opt.live = true;
         } else if (a == "--no-table") {
