@@ -206,7 +206,6 @@ class SystemUnderTest
     }
 
     MmuDesign design() const { return design_; }
-    MmuSystem &system() { return *sys_; }
     GpuMemInterface &memIf() { return *sys_; }
 
     IdealMmuSystem *ideal() { return as<IdealMmuSystem>(); }

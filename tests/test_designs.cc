@@ -78,7 +78,6 @@ TEST(Designs, SystemUnderTestExposesTheRightConcreteSystem)
                           int(sut.l1vc() != nullptr);
         EXPECT_EQ(typed, 1);
         EXPECT_EQ(sut.iommu() == nullptr, d == MmuDesign::kIdeal);
-        EXPECT_EQ(&sut.memIf(), &sut.system());
         EXPECT_TRUE(sut.counters() == MmuCounters{});
     }
 
