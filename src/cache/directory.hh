@@ -22,6 +22,7 @@
 #include "mem/dram.hh"
 #include "sim/callback.hh"
 #include "sim/debug.hh"
+#include "sim/request_pool.hh"
 #include "sim/sim_context.hh"
 #include "sim/types.hh"
 
@@ -75,13 +76,13 @@ class Directory
           Callback done)
     {
         ++fetches_;
+        Fetch *f = fetches_in_flight_.acquire();
+        f->requester = requester;
+        f->line = line;
+        f->exclusive = exclusive;
+        f->done = std::move(done);
         ctx_.eq.scheduleIn(params_.latency,
-                           [this, requester, line, exclusive,
-                            done = std::move(done)]() mutable {
-                               fetchAtDirectory(requester, line,
-                                                exclusive,
-                                                std::move(done));
-                           });
+                           [this, f] { fetchAtDirectory(f); });
     }
 
     /** Explicit writeback of a dirty line from @p node. */
@@ -105,6 +106,9 @@ class Directory
     }
     std::uint64_t writebacks() const { return writebacks_.value; }
 
+    /** Fetch records in flight (0 once the event queue drains). */
+    std::size_t liveRequests() const { return fetches_in_flight_.live(); }
+
     /** Lines with directory state (tests). */
     std::size_t trackedLines() const { return entries_.size(); }
 
@@ -124,6 +128,15 @@ class Directory
         bool dirty = false;
     };
 
+    /** One fetch waiting out the directory latency. */
+    struct Fetch
+    {
+        DirNode requester;
+        Paddr line;
+        bool exclusive;
+        Callback done;
+    };
+
     static unsigned index(DirNode n) { return unsigned(n); }
 
     static std::uint64_t
@@ -133,9 +146,14 @@ class Directory
     }
 
     void
-    fetchAtDirectory(DirNode requester, Paddr line, bool exclusive,
-                     Callback done)
+    fetchAtDirectory(Fetch *f)
     {
+        const DirNode requester = f->requester;
+        const Paddr line = f->line;
+        const bool exclusive = f->exclusive;
+        Callback done = std::move(f->done);
+        fetches_in_flight_.release(f);
+
         Entry &e = entries_[lineKey(line)];
         const DirNode other = requester == DirNode::kGpu
                                   ? DirNode::kCpu
@@ -183,6 +201,7 @@ class Directory
     Counter probes_sent_;
     Counter probe_writebacks_;
     Counter writebacks_;
+    RequestPool<Fetch> fetches_in_flight_;
 };
 
 } // namespace gvc

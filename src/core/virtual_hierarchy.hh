@@ -35,6 +35,7 @@
 #include "mem/dram.hh"
 #include "mem/vm.hh"
 #include "sim/debug.hh"
+#include "sim/request_pool.hh"
 #include "mmu/boundary.hh"
 #include "mmu/injection.hh"
 #include "mmu/mmu_system.hh"
@@ -119,14 +120,14 @@ class VirtualCacheSystem final : public MmuSystem
             line_va = pageBase(t->leading_vpn) |
                       (line_va & kPageMask & ~kLineMask);
         }
-        injection_.inject(cu_id, [this, cu_id, asid, line_va, is_store,
-                                  done = std::move(done)]() mutable {
-            ctx_.eq.scheduleIn(cfg_.l1_latency,
-                               [this, cu_id, asid, line_va, is_store,
-                                done = std::move(done)]() mutable {
-                                   l1Access(cu_id, asid, line_va,
-                                            is_store, std::move(done));
-                               });
+        Request *r = reqs_.acquire();
+        r->cu = cu_id;
+        r->asid = asid;
+        r->line_va = line_va;
+        r->is_store = is_store;
+        r->done = std::move(done);
+        injection_.inject(cu_id, [this, r] {
+            ctx_.eq.scheduleIn(cfg_.l1_latency, [this, r] { l1Access(r); });
         });
     }
 
@@ -213,7 +214,6 @@ class VirtualCacheSystem final : public MmuSystem
     {
         return probe_lines_filtered_.value;
     }
-    std::uint64_t droppedFills() const { return dropped_fills_.value; }
 
     void
     flushLifetimes() override
@@ -221,6 +221,12 @@ class VirtualCacheSystem final : public MmuSystem
         for (auto &l1 : l1s_)
             l1->flushLifetimes();
         l2_.flushLifetimes();
+    }
+
+    std::size_t
+    liveRequests() const override
+    {
+        return reqs_.live() + dir_.liveRequests() + iommu_.liveRequests();
     }
 
     void
@@ -297,19 +303,46 @@ class VirtualCacheSystem final : public MmuSystem
     }
 
   private:
+    /**
+     * One access from access() until its data (or store ack) is back
+     * at the CU.  A line miss keeps the record through translation,
+     * the synonym check and the fill.
+     */
+    struct Request
+    {
+        unsigned cu;
+        Asid asid;
+        Vaddr line_va;
+        bool is_store;
+        IommuResponse resp; ///< Translation of an L2 miss.
+        Callback done;
+    };
+
+    /** Hand the request back to its issuer. */
+    void
+    complete(Request *r)
+    {
+        Callback done = std::move(r->done);
+        reqs_.release(r);
+        done();
+    }
+
     // --- L1 stage (virtual, write-through no-allocate) ---
 
     void
-    l1Access(unsigned cu_id, Asid asid, Vaddr line_va, bool is_store,
-             Callback done)
+    l1Access(Request *r)
     {
+        const unsigned cu_id = r->cu;
+        const Asid asid = r->asid;
+        const Vaddr line_va = r->line_va;
+        const bool is_store = r->is_store;
         const auto perms = l1s_[cu_id]->linePerms(asid, line_va);
         const bool usable =
             perms && (!is_store || permsAllow(*perms, kPermWrite));
         if (usable) {
             l1s_[cu_id]->access(asid, line_va, is_store, ctx_.now());
             if (!is_store) {
-                done();
+                complete(r);
                 return;
             }
             // Store hit still writes through to the L2.
@@ -323,34 +356,30 @@ class VirtualCacheSystem final : public MmuSystem
                                              pageOf(info->line_addr));
             }
         }
-        sendToL2(cu_id, asid, line_va, is_store, std::move(done));
+        sendToL2(r);
     }
 
     // --- L2 stage (virtual, banked, write-back write-allocate) ---
 
     void
-    sendToL2(unsigned cu_id, Asid asid, Vaddr line_va, bool is_store,
-             Callback done)
+    sendToL2(Request *r)
     {
-        const Tick arrive = ctx_.now() + cfg_.cu_to_l2;
-        const unsigned bank =
-            unsigned((line_va >> kLineShift) % cfg_.l2_banks);
-        ctx_.eq.schedule(arrive, [this, cu_id, asid, line_va, is_store,
-                                  bank, done = std::move(done)]() mutable {
+        ctx_.eq.schedule(ctx_.now() + cfg_.cu_to_l2, [this, r] {
+            const unsigned bank =
+                unsigned((r->line_va >> kLineShift) % cfg_.l2_banks);
             const Tick start = banks_[bank].acquire(ctx_.now());
             ctx_.eq.schedule(start + cfg_.l2_latency,
-                             [this, cu_id, asid, line_va, is_store,
-                              done = std::move(done)]() mutable {
-                                 l2Access(cu_id, asid, line_va, is_store,
-                                          std::move(done));
-                             });
+                             [this, r] { l2Access(r); });
         });
     }
 
     void
-    l2Access(unsigned cu_id, Asid asid, Vaddr line_va, bool is_store,
-             Callback done)
+    l2Access(Request *r)
     {
+        const unsigned cu_id = r->cu;
+        const Asid asid = r->asid;
+        const Vaddr line_va = r->line_va;
+        const bool is_store = r->is_store;
         const auto perms = l2_.linePerms(asid, line_va);
         const bool usable =
             perms && (!is_store || permsAllow(*perms, kPermWrite));
@@ -360,7 +389,7 @@ class VirtualCacheSystem final : public MmuSystem
                 fbt_.markWritten(asid, pageOf(line_va));
             else
                 l1Fill(cu_id, asid, line_va, *perms);
-            ctx_.eq.scheduleIn(cfg_.cu_to_l2, std::move(done));
+            ctx_.eq.scheduleIn(cfg_.cu_to_l2, [this, r] { complete(r); });
             return;
         }
         if (!perms)
@@ -370,37 +399,31 @@ class VirtualCacheSystem final : public MmuSystem
         // the IOMMU is consulted in this design).
         const std::uint64_t key = mshrKey(asid, line_va);
         pending_store_[key] = pending_store_[key] || is_store;
-        // WakeFn up front: a raw lambda would convert through a
-        // temporary on the first allocate() and lose its captures.
-        MshrTable::WakeFn waiter = [this, cu_id, asid, line_va, is_store,
-                                    done = std::move(done)]() mutable {
-            if (!is_store) {
+        const auto wake = [this, r] {
+            if (!r->is_store) {
                 // Fill the L1 only if the data landed under this VA
                 // (i.e., this VA is the leading VA; synonym replays
                 // leave the non-leading access uncached, §4.1).
-                if (auto p = l2_.linePerms(asid, line_va))
-                    l1Fill(cu_id, asid, line_va, *p);
+                if (auto p = l2_.linePerms(r->asid, r->line_va))
+                    l1Fill(r->cu, r->asid, r->line_va, *p);
             }
-            ctx_.eq.scheduleIn(cfg_.cu_to_l2, std::move(done));
+            ctx_.eq.scheduleIn(cfg_.cu_to_l2, [this, r] { complete(r); });
         };
-        if (mshrs_.allocate(key, std::move(waiter)) ==
-            MshrTable::Result::kSecondary)
+        if (mshrs_.allocate(key, wake) == MshrTable::Result::kSecondary)
             return;
-        mshrs_.allocate(key, std::move(waiter));
+        mshrs_.allocate(key, wake);
 
         // Coalesce concurrent translation requests for the same page:
         // one IOMMU access serves every outstanding line miss of the
         // page (standard MSHR-style merging; without it any DRAM-bound
         // streaming phase would falsely bottleneck on the shared TLB
         // port even though it only needs one translation per page).
+        // Each waiting record is the MSHR primary of its line, so it
+        // stays live until its own key completes, after translation.
         const std::uint64_t xkey =
             pageOf(line_va) | (std::uint64_t(asid) << 40);
         auto [it, fresh] = xlate_pending_.try_emplace(xkey);
-        it->second.push_back(
-            [this, cu_id, asid, line_va, is_store,
-             key](const IommuResponse &resp) {
-                onTranslation(cu_id, asid, line_va, is_store, key, resp);
-            });
+        it->second.push_back(r);
         if (!fresh) {
             ++xlate_merges_;
             return;
@@ -412,8 +435,10 @@ class VirtualCacheSystem final : public MmuSystem
                                  auto node = xlate_pending_.extract(xkey);
                                  if (node.empty())
                                      return;
-                                 for (auto &fn : node.mapped())
-                                     fn(resp);
+                                 for (Request *w : node.mapped()) {
+                                     w->resp = resp;
+                                     onTranslation(w);
+                                 }
                              });
         });
     }
@@ -421,27 +446,28 @@ class VirtualCacheSystem final : public MmuSystem
     // --- IOMMU response: permission check, then the BT synonym check ---
 
     void
-    onTranslation(unsigned cu_id, Asid asid, Vaddr line_va, bool is_store,
-                  std::uint64_t key, const IommuResponse &resp)
+    onTranslation(Request *r)
     {
-        if (resp.fault)
+        if (r->resp.fault)
             fatal("VirtualCacheSystem: unhandled GPU page fault");
-        const Perms need = is_store ? kPermWrite : kPermRead;
-        if (!permsAllow(resp.perms, need)) {
+        const Perms need = r->is_store ? kPermWrite : kPermRead;
+        if (!permsAllow(r->resp.perms, need)) {
             ++protection_faults_;
-            completeKey(key);
+            completeKey(mshrKey(r->asid, r->line_va));
             return;
         }
-        ctx_.eq.scheduleIn(cfg_.fbt_latency, [this, cu_id, asid, line_va,
-                                              is_store, key, resp] {
-            synonymCheck(cu_id, asid, line_va, is_store, key, resp);
-        });
+        ctx_.eq.scheduleIn(cfg_.fbt_latency, [this, r] { synonymCheck(r); });
     }
 
     void
-    synonymCheck(unsigned cu_id, Asid asid, Vaddr line_va, bool is_store,
-                 std::uint64_t key, const IommuResponse &resp)
+    synonymCheck(Request *r)
     {
+        const unsigned cu_id = r->cu;
+        const Asid asid = r->asid;
+        const Vaddr line_va = r->line_va;
+        const bool is_store = r->is_store;
+        const IommuResponse &resp = r->resp;
+        const std::uint64_t key = mshrKey(asid, line_va);
         // 2 MB pages either split into 4 KB subpage entries (§4.3
         // optimization, the default) or use one counter-mode entry.
         const bool counter_mode =
@@ -470,7 +496,7 @@ class VirtualCacheSystem final : public MmuSystem
                 // In-flight fill already landed (same leading VA).
                 completeKey(key);
             } else {
-                fetchLine(asid, line_va, resp.perms, resp.ppn, key);
+                fetchLine(r);
             }
             return;
           case SynonymCheck::Kind::kSynonym: {
@@ -510,36 +536,36 @@ class VirtualCacheSystem final : public MmuSystem
     // --- memory fetch and L2 fill under the leading VA ---
 
     void
-    fetchLine(Asid asid, Vaddr line_va, Perms page_perms, Ppn ppn,
-              std::uint64_t key)
+    fetchLine(Request *r)
     {
         // The IOMMU sits next to the directory (Figure 6), so the
         // translated request proceeds to the directory without another
         // network hop; the directory handles CPU-side conflicts and
         // the memory access.
-        const Paddr line_pa =
-            pageBase(ppn) | (line_va & kPageMask & ~kLineMask);
-        const bool exclusive = pending_store_[key];
+        const Paddr line_pa = pageBase(r->resp.ppn) |
+                              (r->line_va & kPageMask & ~kLineMask);
+        const bool exclusive =
+            pending_store_[mshrKey(r->asid, r->line_va)];
         dir_.fetch(DirNode::kGpu, line_pa, exclusive,
-                   [this, asid, line_va, page_perms, key] {
-                       fillL2(asid, line_va, page_perms, key);
-                   });
+                   [this, r] { fillL2(r); });
     }
 
     void
-    fillL2(Asid asid, Vaddr line_va, Perms page_perms, std::uint64_t key)
+    fillL2(Request *r)
     {
+        const Asid asid = r->asid;
+        const Vaddr line_va = r->line_va;
+        const std::uint64_t key = mshrKey(asid, line_va);
         const Vpn vpn = pageOf(line_va);
         if (!fbt_.hasLeading(asid, vpn)) {
             // The page was purged (shootdown / FBT eviction) while the
             // fill was in flight: drop the fill, complete the waiters.
-            ++dropped_fills_;
             completeKey(key);
             return;
         }
         const bool dirty = pending_store_[key];
         const auto victim =
-            l2_.insert(asid, line_va, page_perms, dirty, ctx_.now());
+            l2_.insert(asid, line_va, r->resp.perms, dirty, ctx_.now());
         fbt_.lineFilled(asid, vpn, lineInPage(line_va));
         if (dirty)
             fbt_.markWritten(asid, vpn);
@@ -656,9 +682,9 @@ class VirtualCacheSystem final : public MmuSystem
     std::vector<BankPort> banks_;
     MshrTable mshrs_;
     std::unordered_map<std::uint64_t, bool> pending_store_;
-    std::unordered_map<
-        std::uint64_t,
-        std::vector<SmallFunc<void(const IommuResponse &)>>>
+    RequestPool<Request> reqs_;
+    /// Line misses of one page waiting on one IOMMU translation.
+    std::unordered_map<std::uint64_t, std::vector<Request *>>
         xlate_pending_;
     Fbt fbt_;
     Iommu iommu_;
@@ -671,7 +697,6 @@ class VirtualCacheSystem final : public MmuSystem
     Counter protection_faults_;
     Counter fbt_purges_;
     Counter l1_flushes_;
-    Counter dropped_fills_;
     Counter probe_lines_filtered_;
 };
 

@@ -288,8 +288,7 @@ JournalWriter::append(const std::string &key, const ResultRecord &record,
 std::vector<std::uint8_t>
 journalHeader(const ExportMeta &meta)
 {
-    std::vector<std::uint8_t> out;
-    out.insert(out.end(), kJournalMagic, kJournalMagic + 4);
+    std::vector<std::uint8_t> out(kJournalMagic, kJournalMagic + 4);
     putU32(out, kJournalVersion);
     const std::string payload = metaToJson(meta).dump();
     const auto *bytes =

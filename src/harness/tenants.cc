@@ -197,7 +197,8 @@ buildSchedule(const TenantsSpec &spec)
 } // namespace
 
 RunResult
-runTenants(const TenantsSpec &spec, const RunConfig &cfg)
+runTenants(const TenantsSpec &spec, const RunConfig &cfg,
+           const InspectFn &inspect)
 {
     if (spec.tenants.empty())
         fatal("runTenants: need at least one tenant");
@@ -354,7 +355,7 @@ runTenants(const TenantsSpec &spec, const RunConfig &cfg)
     RunConfig run_cfg = cfg;
     run_cfg.trace_in.clear();
     trace::TraceKernelSource source(std::move(combined));
-    RunResult r = runSource(source, run_cfg, {}, nullptr, &hooks);
+    RunResult r = runSource(source, run_cfg, inspect, nullptr, &hooks);
 
     r.tenants.reserve(n);
     for (unsigned t = 0; t < n; ++t) {

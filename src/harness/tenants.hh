@@ -124,9 +124,11 @@ struct TenantsSpec
  * per-slot KernelStats deltas in `kernels` (as any scenario run does),
  * per-tenant aggregates in `tenants` that sum field-exactly to the
  * cumulative totals, and the context-switch/storm counters.  The
- * simulation seed is tenant 0's workload seed.
+ * simulation seed is tenant 0's workload seed.  @p inspect runs after
+ * the last slot drains, as in runSource.
  */
-RunResult runTenants(const TenantsSpec &spec, const RunConfig &cfg);
+RunResult runTenants(const TenantsSpec &spec, const RunConfig &cfg,
+                     const InspectFn &inspect = {});
 
 } // namespace gvc
 

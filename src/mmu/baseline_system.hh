@@ -28,6 +28,7 @@
 #include "mmu/injection.hh"
 #include "mmu/mmu_system.hh"
 #include "mmu/phys_caches.hh"
+#include "sim/request_pool.hh"
 #include "tlb/iommu.hh"
 #include "tlb/tlb.hh"
 
@@ -82,15 +83,15 @@ class BaselineMmuSystem final : public MmuSystem
     access(unsigned cu_id, Asid asid, Vaddr line_va, bool is_store,
            Callback done) override
     {
-        injection_.inject(cu_id, [this, cu_id, asid, line_va, is_store,
-                                  done = std::move(done)]() mutable {
-            ctx_.eq.scheduleIn(
-                cfg_.percu_tlb_latency,
-                [this, cu_id, asid, line_va, is_store,
-                 done = std::move(done)]() mutable {
-                    afterTlb(cu_id, asid, line_va, is_store,
-                             std::move(done));
-                });
+        Request *r = reqs_.acquire();
+        r->cu = cu_id;
+        r->asid = asid;
+        r->line_va = line_va;
+        r->is_store = is_store;
+        r->done = std::move(done);
+        injection_.inject(cu_id, [this, r] {
+            ctx_.eq.scheduleIn(cfg_.percu_tlb_latency,
+                               [this, r] { afterTlb(r); });
         });
     }
 
@@ -103,6 +104,13 @@ class BaselineMmuSystem final : public MmuSystem
     const TlbMissBreakdown &breakdown() const { return breakdown_; }
 
     void flushLifetimes() override { caches_.flushLifetimes(); }
+
+    std::size_t
+    liveRequests() const override
+    {
+        return reqs_.live() + caches_.liveRequests() +
+               iommu_.liveRequests();
+    }
 
     void
     collectTlbRefs(TlbRefHist &percu, TlbRefHist &iommu_hist) override
@@ -190,18 +198,30 @@ class BaselineMmuSystem final : public MmuSystem
     }
 
   private:
-    void
-    afterTlb(unsigned cu_id, Asid asid, Vaddr line_va, bool is_store,
-             Callback done)
+    /** One access from access() until it enters the caches. */
+    struct Request
     {
-        const Vpn vpn = pageOf(line_va);
+        unsigned cu;
+        Asid asid;
+        Vaddr line_va;
+        bool is_store;
+        IommuResponse resp; ///< The IOMMU's answer, on a per-CU miss.
+        Callback done;
+    };
+
+    void
+    afterTlb(Request *r)
+    {
+        const unsigned cu_id = r->cu;
+        const Asid asid = r->asid;
+        const Vpn vpn = pageOf(r->line_va);
         if (auto hit = tlbs_[cu_id]->lookup(asid, vpn, ctx_.now())) {
-            proceed(cu_id, hit->ppn, line_va, is_store, std::move(done));
+            proceed(r, hit->ppn);
             return;
         }
 
         if (cfg_.classify_tlb_misses)
-            classify(cu_id, asid, line_va);
+            classify(cu_id, asid, r->line_va);
 
         // Victima-style stash probe: before paying the PCIe hop to the
         // IOMMU, check whether an earlier capacity eviction parked this
@@ -223,16 +243,12 @@ class BaselineMmuSystem final : public MmuSystem
                     stash_.erase(it);
                     caches_.l2().invalidateLine(0, addr);
                     const Tick lat = 2 * cfg_.cu_to_l2 + cfg_.l2_latency;
-                    ctx_.eq.scheduleIn(
-                        lat, [this, cu_id, asid, vpn, e, line_va, is_store,
-                              done = std::move(done)]() mutable {
-                            tlbs_[cu_id]->insert(
-                                asid, vpn,
-                                TlbLookup{e.ppn, e.perms, false},
-                                ctx_.now());
-                            proceed(cu_id, e.ppn, line_va, is_store,
-                                    std::move(done));
-                        });
+                    ctx_.eq.scheduleIn(lat, [this, r, e] {
+                        tlbs_[r->cu]->insert(
+                            r->asid, pageOf(r->line_va),
+                            TlbLookup{e.ppn, e.perms, false}, ctx_.now());
+                        proceed(r, e.ppn);
+                    });
                     return;
                 }
                 // The stash line was silently displaced by an ordinary
@@ -244,92 +260,53 @@ class BaselineMmuSystem final : public MmuSystem
         }
 
         if (merge_tlb_misses_) {
-            const std::uint64_t key =
-                (std::uint64_t(cu_id) << 56) |
-                (std::uint64_t(asid) << 40) | vpn;
-            auto it = pending_.find(key);
-            if (it != pending_.end()) {
-                it->second.push_back(Waiter{line_va, is_store,
-                                            std::move(done)});
+            // Later misses to the page ride the first one's request.
+            auto [it, fresh] = pending_.try_emplace(mergeKey(r));
+            it->second.push_back(r);
+            if (!fresh)
                 return;
-            }
-            pending_[key].push_back(Waiter{line_va, is_store,
-                                           std::move(done)});
-            requestTranslation(cu_id, asid, vpn, key);
-            return;
         }
 
-        // Unmerged: each miss is one IOMMU request (paper accounting).
-        ctx_.eq.scheduleIn(
-            cfg_.cu_to_iommu,
-            [this, cu_id, asid, vpn, line_va, is_store,
-             done = std::move(done)]() mutable {
-                iommu_.translate(
-                    asid, vpn,
-                    [this, cu_id, asid, vpn, line_va, is_store,
-                     done = std::move(done)](
-                        const IommuResponse &resp) mutable {
-                        ctx_.eq.scheduleIn(
-                            cfg_.cu_to_iommu,
-                            [this, cu_id, asid, vpn, line_va, is_store,
-                             resp, done = std::move(done)]() mutable {
-                                onTranslation(cu_id, asid, vpn, resp,
-                                              line_va, is_store,
-                                              std::move(done));
-                            });
-                    });
-            });
-    }
-
-    void
-    requestTranslation(unsigned cu_id, Asid asid, Vpn vpn,
-                       std::uint64_t key)
-    {
-        ctx_.eq.scheduleIn(cfg_.cu_to_iommu, [this, cu_id, asid, vpn,
-                                              key] {
-            iommu_.translate(asid, vpn, [this, cu_id, asid, vpn, key](
-                                            const IommuResponse &resp) {
-                ctx_.eq.scheduleIn(cfg_.cu_to_iommu,
-                                   [this, cu_id, asid, vpn, key, resp] {
-                                       completeMerged(cu_id, asid, vpn,
-                                                      key, resp);
-                                   });
-            });
+        // One IOMMU request per miss (paper accounting), or per page
+        // group in merge mode.
+        ctx_.eq.scheduleIn(cfg_.cu_to_iommu, [this, r] {
+            iommu_.translate(
+                r->asid, pageOf(r->line_va),
+                [this, r](const IommuResponse &resp) {
+                    r->resp = resp;
+                    ctx_.eq.scheduleIn(cfg_.cu_to_iommu,
+                                       [this, r] { onTranslation(r); });
+                });
         });
     }
 
     void
-    completeMerged(unsigned cu_id, Asid asid, Vpn vpn, std::uint64_t key,
-                   const IommuResponse &resp)
+    onTranslation(Request *r)
     {
-        installAndCheck(cu_id, asid, vpn, resp);
-        auto waiters = std::move(pending_[key]);
-        pending_.erase(key);
-        for (auto &w : waiters)
-            proceed(cu_id, resp.ppn, w.line_va, w.is_store,
-                    std::move(w.done));
-    }
-
-    void
-    onTranslation(unsigned cu_id, Asid asid, Vpn vpn,
-                  const IommuResponse &resp, Vaddr line_va, bool is_store,
-                  Callback done)
-    {
-        installAndCheck(cu_id, asid, vpn, resp);
-        proceed(cu_id, resp.ppn, line_va, is_store, std::move(done));
-    }
-
-    void
-    installAndCheck(unsigned cu_id, Asid asid, Vpn vpn,
-                    const IommuResponse &resp)
-    {
+        // A copy: proceed() retires r, and in merge mode r is one of
+        // the waiters.
+        const IommuResponse resp = r->resp;
         if (resp.fault)
             fatal("BaselineMmuSystem: unhandled GPU page fault");
-        tlbs_[cu_id]->insert(asid, vpn,
+        tlbs_[r->cu]->insert(r->asid, pageOf(r->line_va),
                              TlbLookup{resp.ppn, resp.perms, resp.large,
                                        resp.reach, resp.base_vpn,
                                        resp.base_ppn},
                              ctx_.now());
+        if (!merge_tlb_misses_) {
+            proceed(r, resp.ppn);
+            return;
+        }
+        auto node = pending_.extract(mergeKey(r));
+        for (Request *w : node.mapped())
+            proceed(w, resp.ppn);
+    }
+
+    static std::uint64_t
+    mergeKey(const Request *r)
+    {
+        return (std::uint64_t(r->cu) << 56) |
+               (std::uint64_t(r->asid) << 40) | pageOf(r->line_va);
     }
 
     // --- Victima-style L2 translation stash ---
@@ -397,13 +374,14 @@ class BaselineMmuSystem final : public MmuSystem
         stash_.clear();
     }
 
+    /** Translated: retire the record and enter the L1 of its CU. */
     void
-    proceed(unsigned cu_id, Ppn ppn, Vaddr line_va, bool is_store,
-            Callback done)
+    proceed(Request *r, Ppn ppn)
     {
         const Paddr line_pa =
-            pageBase(ppn) | (line_va & kPageMask & ~kLineMask);
-        caches_.accessL1(cu_id, line_pa, is_store, std::move(done));
+            pageBase(ppn) | (r->line_va & kPageMask & ~kLineMask);
+        caches_.accessL1(r->cu, line_pa, r->is_store, std::move(r->done));
+        reqs_.release(r);
     }
 
     /** Figure 2: classify a TLB miss by current data residency. */
@@ -423,13 +401,6 @@ class BaselineMmuSystem final : public MmuSystem
             ++breakdown_.miss_l2_miss;
     }
 
-    struct Waiter
-    {
-        Vaddr line_va;
-        bool is_store;
-        Callback done;
-    };
-
     /** Payload of a stashed translation, keyed by stash line address. */
     struct StashEntry
     {
@@ -445,7 +416,9 @@ class BaselineMmuSystem final : public MmuSystem
     CuInjectionPorts injection_;
     bool merge_tlb_misses_;
     std::vector<std::unique_ptr<Tlb>> tlbs_;
-    std::unordered_map<std::uint64_t, std::vector<Waiter>> pending_;
+    RequestPool<Request> reqs_;
+    /// Merge mode: per-CU misses waiting on one IOMMU request.
+    std::unordered_map<std::uint64_t, std::vector<Request *>> pending_;
     TlbMissBreakdown breakdown_;
     /// Victima side map: stash line address -> stashed translation.
     std::unordered_map<Paddr, StashEntry> stash_;

@@ -223,6 +223,7 @@ class SystemUnderTest
     void applyBoundary(const BoundaryPolicy &p) { sys_->applyBoundary(p); }
     void registerStats(StatRegistry &reg) { sys_->registerStats(reg); }
     MmuCounters counters() const { return sys_->counters(); }
+    std::size_t liveRequests() const { return sys_->liveRequests(); }
 
   private:
     template <class T>

@@ -15,6 +15,7 @@
 #include "mmu/injection.hh"
 #include "mmu/mmu_system.hh"
 #include "mmu/phys_caches.hh"
+#include "sim/request_pool.hh"
 
 namespace gvc
 {
@@ -39,9 +40,15 @@ class IdealMmuSystem final : public MmuSystem
             fatal("IdealMmuSystem: access to unmapped address");
         const Paddr line_pa =
             pageBase(t->ppn) | (line_va & kPageMask & ~kLineMask);
-        injection_.inject(cu_id, [this, cu_id, line_pa, is_store,
-                                  done = std::move(done)]() mutable {
-            caches_.accessL1(cu_id, line_pa, is_store, std::move(done));
+        Request *r = reqs_.acquire();
+        r->cu = cu_id;
+        r->line_pa = line_pa;
+        r->is_store = is_store;
+        r->done = std::move(done);
+        injection_.inject(cu_id, [this, r] {
+            caches_.accessL1(r->cu, r->line_pa, r->is_store,
+                             std::move(r->done));
+            reqs_.release(r);
         });
     }
 
@@ -59,6 +66,13 @@ class IdealMmuSystem final : public MmuSystem
     }
 
     void flushLifetimes() override { caches_.flushLifetimes(); }
+
+    std::size_t
+    liveRequests() const override
+    {
+        return reqs_.live() + caches_.liveRequests();
+    }
+
     void collectTlbRefs(TlbRefHist &, TlbRefHist &) override {}
     Iommu *iommu() override { return nullptr; }
     /** Translation is free, so there is nothing to report. */
@@ -73,9 +87,19 @@ class IdealMmuSystem final : public MmuSystem
     }
 
   private:
+    /** One access waiting for its CU's injection slot. */
+    struct Request
+    {
+        unsigned cu;
+        Paddr line_pa;
+        bool is_store;
+        Callback done;
+    };
+
     Vm &vm_;
     PhysCaches caches_;
     CuInjectionPorts injection_;
+    RequestPool<Request> reqs_;
 };
 
 } // namespace gvc

@@ -28,6 +28,7 @@
 #include "mmu/injection.hh"
 #include "mmu/mmu_system.hh"
 #include "mmu/phys_caches.hh"
+#include "sim/request_pool.hh"
 #include "tlb/iommu.hh"
 #include "tlb/tlb.hh"
 
@@ -143,14 +144,14 @@ class L1OnlyVcSystem final : public MmuSystem
     access(unsigned cu_id, Asid asid, Vaddr line_va, bool is_store,
            Callback done) override
     {
-        injection_.inject(cu_id, [this, cu_id, asid, line_va, is_store,
-                                  done = std::move(done)]() mutable {
-            ctx_.eq.scheduleIn(cfg_.l1_latency,
-                               [this, cu_id, asid, line_va, is_store,
-                                done = std::move(done)]() mutable {
-                                   l1Access(cu_id, asid, line_va,
-                                            is_store, std::move(done));
-                               });
+        Request *r = reqs_.acquire();
+        r->cu = cu_id;
+        r->asid = asid;
+        r->line_va = line_va;
+        r->is_store = is_store;
+        r->done = std::move(done);
+        injection_.inject(cu_id, [this, r] {
+            ctx_.eq.scheduleIn(cfg_.l1_latency, [this, r] { l1Access(r); });
         });
     }
 
@@ -163,6 +164,13 @@ class L1OnlyVcSystem final : public MmuSystem
     LineLeadingRegistry &registry() { return registry_; }
 
     void flushLifetimes() override { caches_.flushLifetimes(); }
+
+    std::size_t
+    liveRequests() const override
+    {
+        return reqs_.live() + caches_.liveRequests() +
+               iommu_.liveRequests();
+    }
 
     void
     collectTlbRefs(TlbRefHist &percu, TlbRefHist &iommu_hist) override
@@ -215,17 +223,42 @@ class L1OnlyVcSystem final : public MmuSystem
     }
 
   private:
-    void
-    l1Access(unsigned cu_id, Asid asid, Vaddr line_va, bool is_store,
-             Callback done)
+    /** One access from access() until its data is back at the CU. */
+    struct Request
     {
+        unsigned cu;
+        Asid asid;
+        Vaddr line_va;
+        bool is_store;
+        Paddr line_pa;      ///< Set once translated.
+        Perms page_perms;   ///< Set once translated.
+        IommuResponse resp; ///< The IOMMU's answer, on a per-CU miss.
+        Callback done;
+    };
+
+    /** Hand the request back to its issuer. */
+    void
+    complete(Request *r)
+    {
+        Callback done = std::move(r->done);
+        reqs_.release(r);
+        done();
+    }
+
+    void
+    l1Access(Request *r)
+    {
+        const unsigned cu_id = r->cu;
+        const Asid asid = r->asid;
+        const Vaddr line_va = r->line_va;
+        const bool is_store = r->is_store;
         const auto perms = l1s_[cu_id]->linePerms(asid, line_va);
         const bool usable =
             perms && (!is_store || permsAllow(*perms, kPermWrite));
         if (usable) {
             l1s_[cu_id]->access(asid, line_va, is_store, ctx_.now());
             if (!is_store) {
-                done();
+                complete(r);
                 return;
             }
             // Store hit: write through; translation still needed for
@@ -234,80 +267,72 @@ class L1OnlyVcSystem final : public MmuSystem
             l1s_[cu_id]->access(asid, line_va, false, ctx_.now());
         }
         ctx_.eq.scheduleIn(cfg_.percu_tlb_latency,
-                           [this, cu_id, asid, line_va, is_store,
-                            done = std::move(done)]() mutable {
-                               tlbStage(cu_id, asid, line_va, is_store,
-                                        std::move(done));
-                           });
+                           [this, r] { tlbStage(r); });
     }
 
     void
-    tlbStage(unsigned cu_id, Asid asid, Vaddr line_va, bool is_store,
-             Callback done)
+    tlbStage(Request *r)
     {
-        const Vpn vpn = pageOf(line_va);
-        if (auto hit = tlbs_[cu_id]->lookup(asid, vpn, ctx_.now())) {
-            translated(cu_id, asid, line_va, is_store, hit->ppn,
-                       hit->perms, std::move(done));
+        const Vpn vpn = pageOf(r->line_va);
+        if (auto hit = tlbs_[r->cu]->lookup(r->asid, vpn, ctx_.now())) {
+            translated(r, hit->ppn, hit->perms);
             return;
         }
-        ctx_.eq.scheduleIn(
-            cfg_.cu_to_iommu,
-            [this, cu_id, asid, vpn, line_va, is_store,
-             done = std::move(done)]() mutable {
-                iommu_.translate(
-                    asid, vpn,
-                    [this, cu_id, asid, vpn, line_va, is_store,
-                     done = std::move(done)](
-                        const IommuResponse &resp) mutable {
-                        ctx_.eq.scheduleIn(
-                            cfg_.cu_to_iommu,
-                            [this, cu_id, asid, vpn, line_va, is_store,
-                             resp, done = std::move(done)]() mutable {
-                                if (resp.fault) {
-                                    fatal("L1OnlyVcSystem: unhandled "
-                                          "GPU page fault");
-                                }
-                                tlbs_[cu_id]->insert(
-                                    asid, vpn,
-                                    TlbLookup{resp.ppn, resp.perms,
-                                              resp.large, resp.reach,
-                                              resp.base_vpn,
-                                              resp.base_ppn},
-                                    ctx_.now());
-                                translated(cu_id, asid, line_va,
-                                           is_store, resp.ppn,
-                                           resp.perms, std::move(done));
-                            });
-                    });
-            });
+        ctx_.eq.scheduleIn(cfg_.cu_to_iommu, [this, r] {
+            iommu_.translate(r->asid, pageOf(r->line_va),
+                             [this, r](const IommuResponse &resp) {
+                                 r->resp = resp;
+                                 ctx_.eq.scheduleIn(
+                                     cfg_.cu_to_iommu,
+                                     [this, r] { onTranslation(r); });
+                             });
+        });
     }
 
     void
-    translated(unsigned cu_id, Asid asid, Vaddr line_va, bool is_store,
-               Ppn ppn, Perms page_perms, Callback done)
+    onTranslation(Request *r)
+    {
+        const IommuResponse &resp = r->resp;
+        if (resp.fault)
+            fatal("L1OnlyVcSystem: unhandled GPU page fault");
+        tlbs_[r->cu]->insert(r->asid, pageOf(r->line_va),
+                             TlbLookup{resp.ppn, resp.perms, resp.large,
+                                       resp.reach, resp.base_vpn,
+                                       resp.base_ppn},
+                             ctx_.now());
+        translated(r, resp.ppn, resp.perms);
+    }
+
+    void
+    translated(Request *r, Ppn ppn, Perms page_perms)
     {
         const Paddr line_pa =
-            pageBase(ppn) | (line_va & kPageMask & ~kLineMask);
+            pageBase(ppn) | (r->line_va & kPageMask & ~kLineMask);
 
         // Synonym discipline: the L1s may cache a physical line under a
         // single leading virtual name only.
         if (const auto leading = registry_.lookup(line_pa)) {
-            if (leading->asid != asid || leading->line_va != line_va) {
+            if (leading->asid != r->asid || leading->line_va != r->line_va) {
                 ++synonym_replays_;
+                const unsigned cu_id = r->cu;
+                const bool is_store = r->is_store;
+                Callback done = std::move(r->done);
+                reqs_.release(r);
                 access(cu_id, leading->asid, leading->line_va, is_store,
                        std::move(done));
                 return;
             }
         }
 
+        r->line_pa = line_pa;
+        r->page_perms = page_perms;
         caches_.accessL2(
-            cu_id, line_pa, is_store,
-            [this, cu_id, asid, line_va, line_pa, page_perms, is_store,
-             done = std::move(done)]() mutable {
-                if (!is_store)
-                    fillL1(cu_id, asid, line_va, line_pa, page_perms);
-                done();
+            r->cu, line_pa, r->is_store,
+            [this, r] {
+                if (!r->is_store)
+                    fillL1(r->cu, r->asid, r->line_va, r->line_pa,
+                           r->page_perms);
+                complete(r);
             },
             /*fill_l1=*/false);
     }
@@ -346,6 +371,7 @@ class L1OnlyVcSystem final : public MmuSystem
     std::vector<std::unique_ptr<Tlb>> tlbs_;
     LineLeadingRegistry registry_;
     CuInjectionPorts injection_;
+    RequestPool<Request> reqs_;
     Counter synonym_replays_;
 };
 

@@ -13,6 +13,7 @@
 #ifndef GVC_MMU_MMU_SYSTEM_HH
 #define GVC_MMU_MMU_SYSTEM_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -147,6 +148,14 @@ class MmuSystem : public GpuMemInterface
 
     /** Snapshot of the cumulative counters right now. */
     virtual MmuCounters counters() const = 0;
+
+    /**
+     * Request records held by this system's pools (its own, the
+     * caches', the directory's, the IOMMU's and the walker's).  Every
+     * request completes before the event queue drains, so this is 0
+     * whenever the queue is empty.
+     */
+    virtual std::size_t liveRequests() const = 0;
 };
 
 /** Flush @p tlb's resident entries into its histogram and fold it in. */

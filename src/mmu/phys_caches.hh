@@ -21,6 +21,7 @@
 #include "cache/mshr.hh"
 #include "mem/dram.hh"
 #include "mmu/soc_config.hh"
+#include "sim/request_pool.hh"
 #include "sim/sim_context.hh"
 
 namespace gvc
@@ -78,18 +79,8 @@ class PhysCaches
     void
     accessL1(unsigned cu, Paddr line, bool is_store, Callback done)
     {
-        ctx_.eq.scheduleIn(cfg_.l1_latency, [this, cu, line, is_store,
-                                             done = std::move(done)]() mutable {
-            const bool hit =
-                l1s_[cu]->access(0, line, is_store, ctx_.now());
-            if (is_store) {
-                accessL2(cu, line, true, std::move(done));
-            } else if (hit) {
-                done();
-            } else {
-                accessL2(cu, line, false, std::move(done));
-            }
-        });
+        Request *r = newRequest(cu, line, is_store, true, std::move(done));
+        ctx_.eq.scheduleIn(cfg_.l1_latency, [this, r] { l1Access(r); });
     }
 
     /**
@@ -101,18 +92,7 @@ class PhysCaches
     accessL2(unsigned cu, Paddr line, bool is_store, Callback done,
              bool fill_l1 = true)
     {
-        const Tick arrive = ctx_.now() + cfg_.cu_to_l2;
-        const unsigned bank = bankOf(line);
-        ctx_.eq.schedule(arrive, [this, cu, line, is_store, bank, fill_l1,
-                                  done = std::move(done)]() mutable {
-            const Tick start = banks_[bank].acquire(ctx_.now());
-            ctx_.eq.schedule(
-                start + cfg_.l2_latency,
-                [this, cu, line, is_store, fill_l1,
-                 done = std::move(done)]() mutable {
-                    l2Access(cu, line, is_store, std::move(done), fill_l1);
-                });
-        });
+        sendToL2(newRequest(cu, line, is_store, fill_l1, std::move(done)));
     }
 
     CacheArray &l1(unsigned cu) { return *l1s_[cu]; }
@@ -126,6 +106,13 @@ class PhysCaches
     const CacheArray &l2() const { return l2_; }
     MshrTable &mshrs() { return mshrs_; }
     Directory &directory() { return dir_; }
+
+    /** Request records in flight here and in the directory. */
+    std::size_t
+    liveRequests() const
+    {
+        return reqs_.live() + dir_.liveRequests();
+    }
 
     /**
      * Kernel-boundary invalidation: drop the selected levels without
@@ -161,32 +148,82 @@ class PhysCaches
         return unsigned((line >> kLineShift) % cfg_.l2_banks);
     }
 
-    void
-    l2Access(unsigned cu, Paddr line, bool is_store, Callback done,
-             bool fill_l1)
+    /** One access in flight between accessL1/accessL2 and `done`. */
+    struct Request
     {
-        const bool hit = l2_.access(0, line, is_store, ctx_.now());
-        if (hit) {
-            if (!is_store && fill_l1)
-                fillL1(cu, line);
-            ctx_.eq.scheduleIn(cfg_.cu_to_l2, std::move(done));
+        unsigned cu;
+        Paddr line;
+        bool is_store;
+        bool fill_l1; ///< Fill the L1 when a load's data returns.
+        Callback done;
+    };
+
+    Request *
+    newRequest(unsigned cu, Paddr line, bool is_store, bool fill_l1,
+               Callback &&done)
+    {
+        Request *r = reqs_.acquire();
+        r->cu = cu;
+        r->line = line;
+        r->is_store = is_store;
+        r->fill_l1 = fill_l1;
+        r->done = std::move(done);
+        return r;
+    }
+
+    /** Hand the request back to its issuer. */
+    void
+    complete(Request *r)
+    {
+        Callback done = std::move(r->done);
+        reqs_.release(r);
+        done();
+    }
+
+    void
+    l1Access(Request *r)
+    {
+        const bool hit =
+            l1s_[r->cu]->access(0, r->line, r->is_store, ctx_.now());
+        if (hit && !r->is_store)
+            complete(r);
+        else
+            sendToL2(r);
+    }
+
+    void
+    sendToL2(Request *r)
+    {
+        ctx_.eq.schedule(ctx_.now() + cfg_.cu_to_l2, [this, r] {
+            const Tick start = banks_[bankOf(r->line)].acquire(ctx_.now());
+            ctx_.eq.schedule(start + cfg_.l2_latency,
+                             [this, r] { l2Access(r); });
+        });
+    }
+
+    /** Load data (or a store's ack) travels back to the CU. */
+    void
+    respond(Request *r)
+    {
+        if (!r->is_store && r->fill_l1)
+            fillL1(r->cu, r->line);
+        ctx_.eq.scheduleIn(cfg_.cu_to_l2, [this, r] { complete(r); });
+    }
+
+    void
+    l2Access(Request *r)
+    {
+        const Paddr line = r->line;
+        if (l2_.access(0, line, r->is_store, ctx_.now())) {
+            respond(r);
             return;
         }
 
         // Miss: merge with any outstanding fill of the same line.
         const std::uint64_t key = line >> kLineShift;
-        pending_store_[key] = pending_store_[key] || is_store;
-        // Built as a WakeFn up front: allocate() takes an rvalue ref,
-        // and a raw lambda would be converted through a temporary that
-        // steals the captures even when the result is kPrimary.
-        MshrTable::WakeFn waiter = [this, cu, line, is_store, fill_l1,
-                                    done = std::move(done)]() mutable {
-            if (!is_store && fill_l1)
-                fillL1(cu, line);
-            ctx_.eq.scheduleIn(cfg_.cu_to_l2, std::move(done));
-        };
-        const auto res = mshrs_.allocate(key, std::move(waiter));
-        if (res == MshrTable::Result::kSecondary)
+        pending_store_[key] = pending_store_[key] || r->is_store;
+        const auto wake = [this, r] { respond(r); };
+        if (mshrs_.allocate(key, wake) == MshrTable::Result::kSecondary)
             return;
 
         // Primary: fetch through the directory (exclusive for stores).
@@ -196,7 +233,7 @@ class PhysCaches
                        [this, key, line] { fillComplete(key, line); });
         });
         // The primary's own completion rides the MSHR like a secondary.
-        mshrs_.allocate(key, std::move(waiter));
+        mshrs_.allocate(key, wake);
     }
 
     void
@@ -219,7 +256,8 @@ class PhysCaches
     }
 
     SimContext &ctx_;
-    const SocConfig &cfg_;
+    /// A copy: the owning system may be built from a temporary config.
+    const SocConfig cfg_;
     Dram &dram_;
     Directory dir_;
     std::vector<std::unique_ptr<CacheArray>> l1s_;
@@ -227,6 +265,7 @@ class PhysCaches
     std::vector<BankPort> banks_;
     MshrTable mshrs_;
     std::unordered_map<std::uint64_t, bool> pending_store_;
+    RequestPool<Request> reqs_;
 };
 
 } // namespace gvc

@@ -2,21 +2,23 @@
  * @file
  * SmallFunc: the simulator's callback type.
  *
- * The engine advances by scheduling millions of continuation closures —
- * memory-access completions that capture the next completion, five or
- * six levels deep.  std::function's 16-byte small-buffer loses on every
- * level of such a chain (each closure embeds the next callback by
- * value), so every scheduled event costs one or more malloc/free pairs.
- * SmallFunc replaces it on the hot paths with:
+ * The engine advances by scheduling millions of small closures.  A
+ * memory request's hops each capture `(this, record*)` — the request's
+ * fields and its completion Callback live in a pooled record (see
+ * sim/request_pool.hh) — and leaf completions capture a couple of
+ * pointers and scalars.  std::function's 16-byte small buffer is too
+ * small even for those, so SmallFunc replaces it with:
  *
- *  - a 56-byte inline buffer, sized so leaf closures (a couple of
- *    pointers and scalars) never allocate;
- *  - a fixed-size block pool for closures that spill — continuation
- *    chains allocate by popping a thread-local free list instead of
- *    calling malloc;
- *  - move-only semantics: continuations are moved along the chain and
- *    invoked once, so requiring copyability (as std::function does)
- *    buys nothing and forbids capturing move-only state.
+ *  - a 56-byte inline buffer, so every hop and leaf closure is built in
+ *    place in its event slot and never allocates;
+ *  - a fixed-size block pool for the rare closure that does not fit
+ *    (one that captures a Callback or a translation response by
+ *    value): it pops a thread-local free list instead of calling
+ *    malloc.  detail::CallbackPool::spills() counts those allocations,
+ *    so a test can pin the hot paths at (almost) none;
+ *  - move-only semantics: a callback is invoked once, so requiring
+ *    copyability (as std::function does) buys nothing and forbids
+ *    capturing move-only state.
  *
  * Host-side only: swapping std::function for SmallFunc changes no
  * simulated ordering or statistic (the golden-stats and replay-identity
@@ -27,6 +29,7 @@
 #define GVC_SIM_CALLBACK_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -42,10 +45,10 @@ namespace detail
 
 /**
  * Thread-local free list of fixed-size blocks backing spilled callables.
- * One size class covers every continuation closure in the engine (the
- * deepest chains capture one SmallFunc plus a handful of scalars);
- * larger objects fall through to operator new.  Thread-local because the
- * sweep engine runs independent simulations on pool threads.
+ * One size class covers every closure that outgrows the inline buffer
+ * (one SmallFunc plus a handful of scalars); larger objects fall through
+ * to operator new.  Thread-local because the sweep engine runs
+ * independent simulations on pool threads.
  */
 class CallbackPool
 {
@@ -55,9 +58,11 @@ class CallbackPool
     static void *
     alloc(std::size_t n)
     {
+        FreeList &fl = freeList();
+        ++fl.spills;
         if (n > kBlockSize)
             return ::operator new(n);
-        auto &blocks = freeList().blocks;
+        auto &blocks = fl.blocks;
         if (blocks.empty())
             return ::operator new(kBlockSize);
         void *p = blocks.back();
@@ -75,10 +80,14 @@ class CallbackPool
         freeList().blocks.push_back(p);
     }
 
+    /** Closures this thread has spilled out of their inline buffer. */
+    static std::uint64_t spills() noexcept { return freeList().spills; }
+
   private:
     struct FreeList
     {
         std::vector<void *> blocks;
+        std::uint64_t spills = 0;
 
         ~FreeList()
         {

@@ -23,6 +23,7 @@
 #include "sim/callback.hh"
 #include "mem/vm.hh"
 #include "sim/debug.hh"
+#include "sim/request_pool.hh"
 #include "sim/sim_context.hh"
 #include "tlb/ptw.hh"
 #include "tlb/tlb.hh"
@@ -156,11 +157,12 @@ class Iommu
             start = start_fp / kFpScale;
             serialization_delay_ += start - ctx_.now();
         }
-        const Tick lookup_done = start + params_.tlb_latency;
-        ctx_.eq.schedule(lookup_done,
-                         [this, asid, vpn, done = std::move(done)]() mutable {
-                             afterTlbLookup(asid, vpn, std::move(done));
-                         });
+        Request *r = reqs_.acquire();
+        r->asid = asid;
+        r->vpn = vpn;
+        r->done = std::move(done);
+        ctx_.eq.schedule(start + params_.tlb_latency,
+                         [this, r] { afterTlbLookup(r); });
     }
 
     /** Install the FBT (or other) second-level translation source. */
@@ -216,82 +218,96 @@ class Iommu
     /** Accesses that found their bank busy (banked configurations). */
     std::uint64_t bankConflicts() const { return bank_conflicts_.value; }
 
+    /** Translation and walk records in flight (0 once drained). */
+    std::size_t
+    liveRequests() const
+    {
+        return reqs_.live() + ptw_.liveRequests();
+    }
+
   private:
     static constexpr std::uint64_t kFpScale = 1024;
 
-    void
-    afterTlbLookup(Asid asid, Vpn vpn, DoneFn done)
+    /** One translation between translate() and its response. */
+    struct Request
     {
-        if (auto hit = tlb_.lookup(asid, vpn, ctx_.now())) {
-            done(IommuResponse{false, hit->ppn, hit->perms, hit->large,
-                               hit->reach, hit->base_vpn,
-                               hit->base_ppn});
+        Asid asid;
+        Vpn vpn;
+        DoneFn done;
+    };
+
+    /** Deliver @p resp to the requester and retire the record. */
+    void
+    respond(Request *r, const IommuResponse &resp)
+    {
+        DoneFn done = std::move(r->done);
+        reqs_.release(r);
+        done(resp);
+    }
+
+    void
+    afterTlbLookup(Request *r)
+    {
+        if (auto hit = tlb_.lookup(r->asid, r->vpn, ctx_.now())) {
+            respond(r, IommuResponse{false, hit->ppn, hit->perms,
+                                     hit->large, hit->reach,
+                                     hit->base_vpn, hit->base_ppn});
             return;
         }
         GVC_DPRINTF(kIommu, ctx_.now(),
-                    "shared TLB miss asid=%u vpn=%#llx", unsigned(asid),
-                    (unsigned long long)vpn);
+                    "shared TLB miss asid=%u vpn=%#llx", unsigned(r->asid),
+                    (unsigned long long)r->vpn);
         if (second_level_) {
             ++sl_lookups_;
-            ctx_.eq.scheduleIn(
-                params_.second_level_latency,
-                [this, asid, vpn, done = std::move(done)]() mutable {
-                    if (auto hit = second_level_(asid, vpn)) {
-                        ++sl_hits_;
-                        tlb_.insert(asid, vpn, *hit, ctx_.now());
-                        done(IommuResponse{false, hit->ppn, hit->perms,
-                                           hit->large});
-                    } else {
-                        startWalk(asid, vpn, std::move(done));
-                    }
-                });
+            ctx_.eq.scheduleIn(params_.second_level_latency, [this, r] {
+                if (auto hit = second_level_(r->asid, r->vpn)) {
+                    ++sl_hits_;
+                    tlb_.insert(r->asid, r->vpn, *hit, ctx_.now());
+                    respond(r, IommuResponse{false, hit->ppn, hit->perms,
+                                             hit->large});
+                } else {
+                    startWalk(r);
+                }
+            });
             return;
         }
-        startWalk(asid, vpn, std::move(done));
+        startWalk(r);
     }
 
     void
-    startWalk(Asid asid, Vpn vpn, DoneFn done)
+    startWalk(Request *r)
     {
         ++walks_;
         GVC_DPRINTF(kIommu, ctx_.now(), "walk asid=%u vpn=%#llx",
-                    unsigned(asid), (unsigned long long)vpn);
-        ptw_.walk(asid, vpn,
-                  [this, asid, vpn, done = std::move(done)](
-                      std::optional<Translation> t) mutable {
-                      walkDone(asid, vpn, std::move(done), t, false);
-                  });
+                    unsigned(r->asid), (unsigned long long)r->vpn);
+        ptw_.walk(r->asid, r->vpn, [this, r](std::optional<Translation> t) {
+            walkDone(r, t, false);
+        });
     }
 
     void
-    walkDone(Asid asid, Vpn vpn, DoneFn done,
-             std::optional<Translation> t, bool retried)
+    walkDone(Request *r, std::optional<Translation> t, bool retried)
     {
         if (!t) {
             ++faults_;
-            if (fault_fixer_ && !retried && fault_fixer_(asid, vpn)) {
+            if (fault_fixer_ && !retried && fault_fixer_(r->asid, r->vpn)) {
                 // The CPU repaired the mapping; retry the walk after the
                 // fault-service latency.
-                ctx_.eq.scheduleIn(
-                    params_.fault_latency,
-                    [this, asid, vpn, done = std::move(done)]() mutable {
-                        ptw_.walk(asid, vpn,
-                                  [this, asid, vpn,
-                                   done = std::move(done)](
-                                      std::optional<Translation> t2) mutable {
-                                      walkDone(asid, vpn, std::move(done),
-                                               t2, true);
-                                  });
-                    });
+                ctx_.eq.scheduleIn(params_.fault_latency, [this, r] {
+                    ptw_.walk(r->asid, r->vpn,
+                              [this, r](std::optional<Translation> t2) {
+                                  walkDone(r, t2, true);
+                              });
+                });
                 return;
             }
-            done(IommuResponse{true, kInvalidPpn, kPermNone, false});
+            respond(r, IommuResponse{true, kInvalidPpn, kPermNone, false});
             return;
         }
-        const TlbLookup fill = fillFor(asid, vpn, *t);
-        tlb_.insert(asid, vpn, fill, ctx_.now());
-        done(IommuResponse{false, t->ppn, t->perms, t->large,
-                           fill.reach, fill.base_vpn, fill.base_ppn});
+        const TlbLookup fill = fillFor(r->asid, r->vpn, *t);
+        tlb_.insert(r->asid, r->vpn, fill, ctx_.now());
+        respond(r, IommuResponse{false, t->ppn, t->perms, t->large,
+                                 fill.reach, fill.base_vpn, fill.base_ppn});
     }
 
     /**
@@ -375,6 +391,7 @@ class Iommu
     Counter serialization_delay_;
     Counter bank_conflicts_;
     Counter coalesced_fills_;
+    RequestPool<Request> reqs_;
 };
 
 } // namespace gvc

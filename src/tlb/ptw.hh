@@ -11,14 +11,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "mem/dram.hh"
 #include "sim/callback.hh"
 #include "mem/vm.hh"
+#include "sim/request_pool.hh"
 #include "sim/sim_context.hh"
 #include "tlb/pwc.hh"
 
@@ -56,8 +55,12 @@ class PageTableWalker
     walk(Asid asid, Vpn vpn, DoneFn done)
     {
         ++requests_;
-        pending_.push_back(
-            Request{asid, vpn, std::move(done), ctx_.now()});
+        WalkState *state = states_.acquire();
+        state->asid = asid;
+        state->vpn = vpn;
+        state->done = std::move(done);
+        state->issued = ctx_.now();
+        pending_.push_back(state);
         pump();
     }
 
@@ -70,6 +73,9 @@ class PageTableWalker
     std::uint64_t largeWalks() const { return large_walks_.value; }
     unsigned active() const { return active_; }
 
+    /** Walk records queued or in flight (0 once drained). */
+    std::size_t liveRequests() const { return states_.live(); }
+
     /** Mean cycles from walk() to completion (includes queueing). */
     double
     meanLatency() const
@@ -80,52 +86,31 @@ class PageTableWalker
     }
 
   private:
-    struct Request
+    /**
+     * One walk from walk() to its callback.  Each record is owned by
+     * exactly one queue entry or pending event at a time (the step
+     * chain is linear), so a raw pointer is all a step carries.
+     */
+    struct WalkState
     {
         Asid asid;
         Vpn vpn;
         DoneFn done;
         Tick issued;
-    };
-
-    struct WalkState
-    {
-        Request req;
         WalkPath path;
         unsigned level = 0;
     };
-
-    /**
-     * Walk states are recycled through a free list: each in-flight walk
-     * is owned by exactly one pending event at a time (the step chain is
-     * linear), so a raw pointer plus explicit recycling in finish()
-     * replaces a shared_ptr allocation per walk.  The slab keeps
-     * ownership for teardown with walks still in flight.
-     */
-    WalkState *
-    allocState()
-    {
-        if (state_pool_.empty()) {
-            state_slab_.push_back(std::make_unique<WalkState>());
-            return state_slab_.back().get();
-        }
-        WalkState *s = state_pool_.back();
-        state_pool_.pop_back();
-        return s;
-    }
 
     /** Start queued walks while thread slots are free. */
     void
     pump()
     {
         while (active_ < params_.max_concurrent && !pending_.empty()) {
-            WalkState *state = allocState();
-            state->req = std::move(pending_.front());
+            WalkState *state = pending_.front();
             pending_.pop_front();
             state->level = 0;
             ++active_;
-            state->path =
-                vm_.pageTable(state->req.asid).walk(state->req.vpn);
+            state->path = vm_.pageTable(state->asid).walk(state->vpn);
             ctx_.eq.scheduleIn(params_.dispatch_latency,
                                [this, state] { step(state); });
         }
@@ -163,11 +148,11 @@ class PageTableWalker
         ++completed_;
         if (state->path.result && state->path.result->large)
             ++large_walks_;
-        latency_sum_ += ctx_.now() - state->req.issued;
+        latency_sum_ += ctx_.now() - state->issued;
         --active_;
-        DoneFn done = std::move(state->req.done);
+        DoneFn done = std::move(state->done);
         const std::optional<Translation> result = state->path.result;
-        state_pool_.push_back(state);
+        states_.release(state);
         // Hand the slot to a queued walk before delivering the result so
         // completion callbacks observe a fully-consistent walker.
         pump();
@@ -182,9 +167,8 @@ class PageTableWalker
     Dram &dram_;
     PtwParams params_;
     PageWalkCache pwc_;
-    std::deque<Request> pending_;
-    std::vector<std::unique_ptr<WalkState>> state_slab_;
-    std::vector<WalkState *> state_pool_;
+    RequestPool<WalkState> states_;
+    std::deque<WalkState *> pending_;
     unsigned active_ = 0;
     Counter requests_;
     Counter completed_;

@@ -39,6 +39,7 @@
 #include "sim/debug.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
+#include "sim/request_pool.hh"
 #include "sim/rng.hh"
 #include "sim/sim_context.hh"
 #include "sim/stats.hh"

@@ -94,8 +94,9 @@ TEST(InvalidationFilter, NeverFalseNegative)
             --truth[vpn];
         }
         for (const auto &[page, count] : truth) {
-            if (count > 0)
+            if (count > 0) {
                 ASSERT_TRUE(f.maybePresent(0, page));
+            }
         }
     }
 }
